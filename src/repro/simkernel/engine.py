@@ -283,6 +283,16 @@ class Engine:
         self._trace_enabled = trace
         self.trace_log: List[TraceRecord] = []
         self._stopped = False
+        # --- bounds of the innermost active run(), read by claim() -----
+        #: Latest time a claim may reach; -1 outside run() and while a
+        #: ``max_events`` limit is active, so every claim is refused.
+        self._horizon: float = -1
+        self._until: Optional[Callable[[], bool]] = None
+        #: Set when claim() found the run's ``until`` predicate true, so
+        #: run() returns after the current callback without asking again.
+        self._until_hit = False
+        #: Steps claimed during the innermost run() (counted as events).
+        self._claims = 0
         #: Typed metrics (counters / gauges / histograms) on virtual time.
         self.metrics = MetricsRegistry(clock=lambda: self._now_ns)
         #: Structured span log on virtual time (see :mod:`repro.obs`).
@@ -596,6 +606,50 @@ class Engine:
         """Number of not-yet-cancelled events scheduled (O(1))."""
         return self._seq - self._ndone
 
+    def claim(self, time_ns: int) -> bool:
+        """Run the next step at ``time_ns`` inline instead of scheduling it.
+
+        Called from inside an event callback that would otherwise
+        schedule its continuation at ``time_ns`` (never earlier than
+        now).  Returns True -- with the clock advanced to ``time_ns`` --
+        only when ``(time, seq)`` order proves that event would be the
+        very next one run: no stored entry, live or cancelled, is at or
+        before ``time_ns`` (the cursor slot, the side heap, and the
+        level-0 slots up to ``time_ns`` inside the cursor's level-1
+        bucket; anything in a later bucket or the far heap is later),
+        the run's ``until_ns`` horizon covers it, the run was not
+        stopped, no ``max_events`` limit is active, and the run's
+        ``until`` predicate -- evaluated here exactly where run() would
+        evaluate it, after the current logical event -- is still false.
+
+        A claimed step counts as one processed event, in ``engine.events``
+        and in run()'s return value; it consumes no ``seq`` and leaves
+        :meth:`pending` unchanged.
+        """
+        if time_ns > self._horizon or self._stopped:
+            return False
+        cur = self._cur
+        i = self._cur_idx
+        if i < len(cur) and cur[i][0] <= time_ns:
+            return False
+        side = self._side
+        if side and side[0][0] <= time_ns:
+            return False
+        s = time_ns >> _L0_BITS
+        pos = self._pos
+        if s > pos and (
+            s >> 8 != pos >> 8
+            or (self._l0_map >> ((pos & _MASK) + 1)) & ((1 << (s - pos)) - 1)
+        ):
+            return False
+        until = self._until
+        if until is not None and until():
+            self._until_hit = True
+            return False
+        self._now_ns = time_ns
+        self._claims += 1
+        return True
+
     # ------------------------------------------------------------------
     def _refill(self) -> bool:
         """Advance the cursor to the next slot containing entries and
@@ -680,12 +734,13 @@ class Engine:
             Safety valve: stop after this many events.  Cancelled events
             that are skipped do not count as processed.
         until:
-            Predicate evaluated after every event; return true to stop.
+            Predicate evaluated after every event (and at every
+            :meth:`claim`); return true to stop.
 
         Returns
         -------
         int
-            The number of events processed.
+            The number of events processed, claimed steps included.
         """
         self._stopped = False
         processed = 0
@@ -694,6 +749,13 @@ class Engine:
         # ``limit == -1`` is never hit; ``inf`` compares fine with ints.
         limit = -1 if max_events is None else max_events
         horizon = float("inf") if until_ns is None else int(until_ns)
+        # claim() reads the innermost run's bounds; a nested run()
+        # restores the outer ones on the way out.
+        outer = (self._horizon, self._until, self._until_hit, self._claims)
+        self._horizon = horizon if max_events is None else -1
+        self._until = until
+        self._until_hit = False
+        self._claims = 0
         # The engine.events counter is flushed once per run() (in the
         # finally below) rather than per event; nothing observes it
         # between events of a single run.
@@ -744,7 +806,7 @@ class Engine:
                         heappush(side, entry)
                         if self._now_ns < until_ns:
                             self._now_ns = int(until_ns)
-                        return processed
+                        return processed + self._claims
                     self._now_ns = t
                     self._ndone += 1
                     if ev is not None:
@@ -756,15 +818,16 @@ class Engine:
                     self._cur_idx = i
                     entry[2]()
                     processed += 1
-                    if until is not None and until():
-                        return processed
+                    if until is not None and (self._until_hit or until()):
+                        return processed + self._claims
                     if self._cur is not cur:
                         break  # compacted mid-callback; resync aliases
                     if self._stopped or processed == limit:
                         break
-            return processed
+            return processed + self._claims
         finally:
-            self._events_counter.value += processed
+            self._events_counter.value += processed + self._claims
+            self._horizon, self._until, self._until_hit, self._claims = outer
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,7 +15,7 @@ signal handlers plus syscall interposition.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import (
     MemoryError_,
@@ -42,6 +42,10 @@ from .syscalls import SyscallResult, SyscallTable
 from .vfs import DeviceNode, File, ProcEntry, RegularFile, SocketFile, VFS
 
 __all__ = ["Kernel"]
+
+#: A claimed op completion: the arguments of :meth:`Kernel._complete_op`
+#: after ``cpu`` -- ``(task, duration_ns, result, count_main)``.
+_Step = Tuple[Task, int, Any, bool]
 
 #: Default VMA layout for a freshly spawned process, modelling the paper's
 #: enumeration "code, shared libraries, data, heap, stack".
@@ -300,7 +304,7 @@ class Kernel:
                 task.mm.total_present_pages(), self.costs.tlb_entries
             )
             self.engine.count("mm_switches")
-        self.engine.after_anon(switch_ns, lambda: self._begin_op(cpu))
+        self.engine.after_anon(switch_ns, lambda: self._burst(cpu, self._begin_op(cpu)))
 
     def _preempt(self, cpu: CPU, requeue: bool = True) -> None:
         task = cpu.current
@@ -310,50 +314,90 @@ class Kernel:
             self.scheduler.enqueue(task)
         self._dispatch(cpu)
 
-    def _begin_op(self, cpu: CPU) -> None:
-        """Fetch and start the current task's next operation."""
+    def _burst(self, cpu: CPU, step: Optional[_Step]) -> None:
+        """Event callback of the op interpreter: retire ``step`` and every
+        step claimed after it, in a loop rather than by recursion.
+
+        Each :meth:`_execute` claims its op's completion on the engine
+        (:meth:`Engine.claim`) when ``(time, seq)`` order proves no other
+        event could run first; a claimed completion runs here, at the
+        claimed instant, through exactly the code the scheduled event
+        would have run.  Anything that could observe the task in between
+        -- another CPU, a tick, a signal post, a horizon, a stop -- makes
+        the claim fail and the completion is scheduled as an event.
+        """
+        while step is not None:
+            step = self._complete_op(cpu, *step)
+
+    def _begin_op(self, cpu: CPU) -> Optional[_Step]:
+        """Fetch and start the current task's next operation; returns the
+        claimed completion step, if any."""
         task = cpu.current
         if task is None or self._halted:
-            return
+            return None
         if task.stop_requested:
             self._enter_stopped(task, cpu)
-            return
+            return None
         # Signal delivery happens on the kernel->user transition, i.e.
         # before the next USER-mode op, and only outside handler frames.
         if (
-            not task.is_kthread
+            task.signals.pending
+            and not task.is_kthread
             and not task.in_handler
             and task.top_mode() == Mode.USER
             and task.signals.has_deliverable()
         ):
             if self._deliver_one_signal(task, cpu):
-                return  # task exited or stopped; CPU already re-dispatched
+                return None  # task exited or stopped; CPU already re-dispatched
         op = task.next_op()
         if op is None:
             self._exit_task(task, code=0)
-            return
-        self._execute(cpu, task, op)
+            return None
+        return self._execute(cpu, task, op)
 
-    def _execute(self, cpu: CPU, task: Task, op: Op) -> None:
-        """Compute the op's duration, apply side effects, schedule completion."""
+    def _execute(
+        self, cpu: CPU, task: Task, op: Union[Op, Tuple[MemWrite, int, int]]
+    ) -> Optional[_Step]:
+        """Compute the op's duration and apply its side effects; claim the
+        completion (returned as the step to run next) or schedule it.
+
+        ``op`` is an :class:`Op` from the program, or a page cursor
+        ``(write, offset, end)``: the bytes ``[offset, end)`` of a
+        multi-page :class:`MemWrite` still to be written, queued by the
+        page before them (or one faulted page, to be retried).
+        """
         duration = 0
         result: Any = None
         count_main = True
-        task.in_non_reentrant = bool(op.non_reentrant)
 
-        if isinstance(op, Compute):
+        # Pages after a write's first run outside its non-reentrant
+        # region and never advance the restart cursor; a retried first
+        # page still counts.
+        cursor = type(op) is tuple
+        if cursor:
+            op, offset, end = op
+        task.in_non_reentrant = not cursor and bool(op.non_reentrant)
+
+        if cursor:
+            count_main = offset == op.offset
+            duration = self._service_page(task, op, offset, end, fresh=False)
+
+        elif isinstance(op, Compute):
             duration = int(op.ns)
 
         elif isinstance(op, MemWrite):
-            count_main = not op.continuation
-            dur = self._service_write(task, op)
-            if dur is None:
-                # Faulted into a user-level tracking handler: the fault
-                # cost is charged, the op will be retried after sigreturn.
-                duration = self.costs.page_fault_ns
-                count_main = False
-            else:
-                duration = dur
+            mm = task.mm
+            if mm is None:
+                raise MemoryError_("kernel thread has no address space to write")
+            vma = mm.vma(op.vma)
+            if op.offset < 0 or op.offset + op.nbytes > vma.size_bytes:
+                raise MemoryError_(
+                    f"write [{op.offset}, {op.offset + op.nbytes}) outside VMA "
+                    f"{vma.name!r} of {vma.size_bytes} bytes"
+                )
+            duration = self._service_page(
+                task, op, op.offset, op.offset + op.nbytes, fresh=True
+            )
 
         elif isinstance(op, MemRead):
             duration = self._service_read(task, op)
@@ -371,33 +415,41 @@ class Kernel:
             cpu.current = None
             self.engine.after_anon(int(op.ns), lambda: self._wake(task))
             self._dispatch(cpu)
-            return
+            return None
 
         elif isinstance(op, Yield):
             task.completed_op()
             self.scheduler.enqueue(task)
             self._preempt(cpu, requeue=False)
-            return
+            return None
 
         elif isinstance(op, Exit):
             self._exit_task(task, code=int(op.code))
-            return
+            return None
 
         else:
             raise SimulationError(f"unknown op {op!r}")
 
+        if duration is None:
+            # Faulted into a user-level tracking handler: the fault cost
+            # is charged, the page is retried after sigreturn.
+            duration = self.costs.page_fault_ns
+            count_main = False
         duration += cpu.irq_backlog_ns
         cpu.irq_backlog_ns = 0
-        self.engine.after_anon(
-            max(0, duration),
-            lambda: self._complete_op(cpu, task, duration, result, count_main),
-        )
+        engine = self.engine
+        done_ns = engine.now_ns + max(0, duration)
+        step = (task, duration, result, count_main)
+        if engine.claim(done_ns):
+            return step
+        engine.at_anon(done_ns, lambda: self._burst(cpu, step))
+        return None
 
     def _complete_op(
         self, cpu: CPU, task: Task, duration: int, result: Any, count_main: bool = True
-    ) -> None:
+    ) -> Optional[_Step]:
         if self._halted:
-            return
+            return None
         task.acct.cpu_ns += duration
         if task.mode == Mode.USER:
             task.acct.user_ns += duration
@@ -413,72 +465,50 @@ class Kernel:
         elif result is not None:
             task.feed_result(result)
         if not task.alive():
-            return
+            return None
         task.completed_op(count_main=count_main)
         if cpu.current is not task:
             # Task was stopped/migrated underneath us.
-            return
+            return None
         if task.stop_requested:
             self._enter_stopped(task, cpu)
-            return
+            return None
         if self.scheduler.should_preempt(cpu):
             self._preempt(cpu)
-            return
-        self._begin_op(cpu)
+            return None
+        return self._begin_op(cpu)
 
     # -- memory access servicing ----------------------------------------
-    def _split_pages(self, task: Task, op: MemWrite) -> Optional[MemWrite]:
-        """If ``op`` spans pages, queue per-page segments; return first."""
+    def _service_page(
+        self, task: Task, op: MemWrite, offset: int, end: int, fresh: bool
+    ) -> Optional[int]:
+        """Write the page of ``op`` holding byte ``offset``; queue the
+        cursor ``(op, page_end, end)`` for the rest of ``[offset, end)``.
+
+        A fresh op queues its rest behind anything already queued; a
+        cursor's rest goes back to the front, so pages stay in order.
+        Returns the page's cost, or None when it faulted into a
+        user-level tracking handler (``retry_op`` then holds the page).
+        """
         mm = task.mm
-        if mm is None:
-            raise MemoryError_("kernel thread has no address space to write")
         vma = mm.vma(op.vma)
         ps = vma.page_size
-        if op.offset < 0 or op.offset + op.nbytes > vma.size_bytes:
-            raise MemoryError_(
-                f"write [{op.offset}, {op.offset + op.nbytes}) outside VMA "
-                f"{vma.name!r} of {vma.size_bytes} bytes"
-            )
-        first_page = op.offset // ps
-        last_page = (op.offset + max(op.nbytes, 1) - 1) // ps
-        if first_page == last_page:
-            return op
-        segments = []
-        off = op.offset
-        remaining = op.nbytes
-        while remaining > 0:
-            page_end = (off // ps + 1) * ps
-            chunk = min(remaining, page_end - off)
-            segments.append(
-                MemWrite(
-                    vma=op.vma,
-                    offset=off,
-                    nbytes=chunk,
-                    seed=op.seed,
-                    continuation=bool(segments) or op.continuation,
-                )
-            )
-            off += chunk
-            remaining -= chunk
-        for seg in segments[1:]:
-            task.op_queue.append(seg)
-        return segments[0]
-
-    def _service_write(self, task: Task, op: MemWrite) -> Optional[int]:
-        """Service one (single-page after split) write; None => retry later."""
-        op = self._split_pages(task, op)
-        mm = task.mm
-        vma = mm.vma(op.vma)
-        pidx = op.offset // vma.page_size
-        in_page_off = op.offset % vma.page_size
+        pidx = offset // ps
+        in_page_off = offset - pidx * ps
+        page_end = min(end, offset + ps - in_page_off)
+        nbytes = page_end - offset
+        if page_end < end:
+            if fresh:
+                task.op_queue.append((op, page_end, end))
+            else:
+                task.op_queue.appendleft((op, page_end, end))
 
         # Tracking fault reflected to a *user-level* handler (SIGSEGV)?
         # mprotect covers the whole mapped range, so first-touch of a page
         # that was never allocated also faults while the VMA is armed.
-        tracked_hit = vma.test(pidx, PageFlag.TRACK_WP) or (
-            vma.tracking_armed
-            and not vma.test(pidx, PageFlag.PRESENT)
-            and not vma.test(pidx, PageFlag.UNPROT)
+        flags = vma.flags[pidx]
+        tracked_hit = flags & PageFlag.TRACK_WP or (
+            vma.tracking_armed and not flags & (PageFlag.PRESENT | PageFlag.UNPROT)
         )
         if (
             tracked_hit
@@ -488,19 +518,20 @@ class Kernel:
             task.acct.page_faults += 1
             task.acct.tracking_faults += 1
             task.annotations["fault_info"] = {"vma": vma.name, "page": pidx}
-            task.retry_op = op
+            # A single-page op is retried whole; otherwise only this page.
+            task.retry_op = (
+                op if fresh and page_end == end else (op, offset, page_end)
+            )
             self.post_signal(task.pid, Sig.SIGSEGV)
             return None
 
         duration = 0
-        outcome = mm.write_access(vma, pidx, in_page_off, op.nbytes)
+        outcome = mm.write_access(vma, pidx, in_page_off, nbytes)
         if outcome.allocated:
             duration += self.costs.page_fault_ns + self.costs.page_alloc_ns
             task.acct.page_faults += 1
         if outcome.cow_copied:
-            duration += self.costs.page_fault_ns + self.costs.memcpy_ns(
-                vma.page_size
-            )
+            duration += self.costs.page_fault_ns + self.costs.memcpy_ns(ps)
             task.acct.page_faults += 1
             task.acct.cow_copies += 1
         if outcome.tracking_fault:
@@ -517,10 +548,10 @@ class Kernel:
             duration += self.costs.tlb_refill_per_entry_ns
             task.acct.tlb_refill_ns += self.costs.tlb_refill_per_entry_ns
             task.tlb_cold_pages -= 1
-        mm.fill_pattern(vma, pidx, in_page_off, op.nbytes, op.seed)
-        duration += self.costs.memcpy_ns(op.nbytes)
+        mm.fill_pattern(vma, pidx, in_page_off, nbytes, op.seed)
+        duration += self.costs.memcpy_ns(nbytes)
         if self.hw_tracker is not None:
-            self.hw_tracker(task, vma, pidx, in_page_off, op.nbytes)
+            self.hw_tracker(task, vma, pidx, in_page_off, nbytes)
         return duration
 
     def _service_read(self, task: Task, op: MemRead) -> int:

@@ -41,6 +41,10 @@ __all__ = [
     "page_checksum",
 ]
 
+#: ``(i * 167) & 0xFF`` for the first 64 KiB: the byte ramp of
+#: :meth:`AddressSpace.fill_pattern` (period 256, so longer fills repeat it).
+_RAMP = ((np.arange(1 << 16, dtype=np.uint32) * 167) & 0xFF).astype(np.uint8)
+
 
 class Prot:
     """VMA protection bits (a la ``PROT_READ``/``PROT_WRITE``/``PROT_EXEC``)."""
@@ -444,9 +448,11 @@ class AddressSpace:
         without storing the expected data anywhere else.
         """
         arr, _ = vma.ensure_page(pidx)
-        base = (seed * 2654435761 + vma.start + pidx * 977 + offset) & 0xFFFFFFFF
-        vals = (np.arange(length, dtype=np.uint32) * 167 + base) & 0xFF
-        arr[offset : offset + length] = vals.astype(np.uint8)
+        # Byte i is (i * 167 + base) & 0xFF: the ramp plus the low byte of
+        # the base, added in uint8 (which wraps mod 256) straight into the page.
+        base = int(seed * 2654435761 + vma.start + pidx * 977 + offset) & 0xFF
+        ramp = _RAMP if length <= _RAMP.size else np.resize(_RAMP, length)
+        np.add(ramp[:length], base, out=arr[offset : offset + length])
 
     # -- tracking --------------------------------------------------------
     def protect_for_tracking(self, vma_names: Optional[List[str]] = None) -> int:

@@ -52,20 +52,17 @@ class Compute(Op):
 class MemWrite(Op):
     """Write ``nbytes`` at ``offset`` inside the named VMA.
 
-    The kernel splits the range per page, services faults (allocation,
-    COW, tracking write-protect), charges copy time, and fills a
-    deterministic pattern derived from ``seed`` so restores are
-    byte-verifiable.
+    The kernel services the range page by page, services faults
+    (allocation, COW, tracking write-protect), charges copy time, and
+    fills a deterministic pattern derived from ``seed`` so restores are
+    byte-verifiable.  Each page retires as one op; only the first
+    advances the restart step counter.
     """
 
     vma: str = ""
     offset: int = 0
     nbytes: int = 0
     seed: int = 0
-    #: Internal: set on the 2nd..nth per-page segments the kernel splits a
-    #: multi-page write into, so only the original op advances the
-    #: restart step counter.
-    continuation: bool = False
 
 
 @dataclass

@@ -231,11 +231,13 @@ class Task:
         #: Set while the kernel has asked this task to stop at the next op
         #: boundary (checkpoint freeze).
         self.stop_requested = False
-        #: A write op that faulted into a user-level tracking handler and
-        #: must be retried once the handler returns.
+        #: A write that faulted into a user-level tracking handler and
+        #: must be retried once the handler returns: the op itself, or
+        #: the page cursor of the one page that faulted.
         self.retry_op: Any = None
-        #: Per-page expansion of multi-page memory ops, consumed before
-        #: the generator is resumed.
+        #: Page cursors ``(write, offset, end)`` of multi-page writes
+        #: still in progress, consumed before the generator is resumed
+        #: and only outside handler frames.
         self.op_queue: deque = deque()
         if program_factory is not None:
             base_mode = Mode.KERNEL if is_kthread else Mode.USER
@@ -291,7 +293,7 @@ class Task:
         frame's mode.
         """
         # Ordering: a pushed handler frame runs to completion first; then
-        # a faulted op is retried; then queued continuation segments;
+        # a faulted op is retried; then queued write page cursors;
         # then the program generator resumes.  Pending send-values are
         # stored *per frame* (a syscall may push a new frame before its
         # result is delivered; the result belongs to the caller's frame,
@@ -339,9 +341,9 @@ class Task:
 
         Advances the register file always; advances the main-step restart
         cursor only for ops that (a) belong to the main program (not a
-        pushed handler frame), (b) are not continuation segments of a
-        split multi-page write, and (c) are not a faulted attempt that
-        will be retried -- callers pass ``count_main=False`` for (b)/(c).
+        pushed handler frame), (b) are not the second or later page of a
+        multi-page write, and (c) are not a faulted attempt that will be
+        retried -- callers pass ``count_main=False`` for (b)/(c).
         """
         if count_main and not self.in_handler:
             self.main_steps += 1

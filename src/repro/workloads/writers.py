@@ -32,7 +32,7 @@ class DenseWriter(Workload):
 
     def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:
         yield ops.Compute(ns=self.compute_ns)
-        # One whole-heap write (the kernel splits it per page).
+        # One whole-heap write (the kernel services it page by page).
         yield ops.MemWrite(vma="heap", offset=0, nbytes=self.heap_bytes, seed=it)
 
 

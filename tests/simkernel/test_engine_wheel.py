@@ -335,3 +335,184 @@ def test_stored_events_matches_entry_count_under_churn():
     assert eng.stored_events() == len(list(eng._entries()))
     eng.run()
     assert eng.stored_events() == 0
+
+
+# ----------------------------------------------------------------------
+# claim(): running the next step inline
+# ----------------------------------------------------------------------
+def _claim_at(eng, t, at=0, **run_kw):
+    """From a callback at ``at``, try to claim ``t``; returns the answer
+    and the clock right after the attempt."""
+    got = []
+
+    def cb():
+        got.append((eng.claim(t), eng.now_ns))
+
+    eng.at_anon(at, cb)
+    eng.run(**run_kw)
+    return got[0]
+
+
+def test_claim_granted_advances_clock_when_nothing_else_is_due():
+    eng = Engine()
+    eng.at_anon(5 * NS_PER_MS, lambda: None)
+    assert _claim_at(eng, 3 * NS_PER_MS) == (True, 3 * NS_PER_MS)
+
+
+def test_claim_refused_by_earlier_seq_entry_at_same_time():
+    eng = Engine()
+    eng.at_anon(100, lambda: None)
+    assert _claim_at(eng, 100) == (False, 0)
+    eng = Engine()
+    eng.at_anon(100, lambda: None)
+    assert _claim_at(eng, 99) == (True, 99)
+
+
+def test_claim_refused_by_side_heap_entry():
+    eng = Engine()
+    got = []
+
+    def cb():
+        eng.after_anon(50, lambda: None)  # same slot: lands in the side heap
+        got.append(eng.claim(60))
+        got.append(eng.claim(40))
+
+    eng.at_anon(0, cb)
+    eng.run()
+    assert got == [False, True]
+
+
+def test_claim_refused_by_next_level0_slot():
+    """An occupied level-0 slot up to the target refuses the claim, even
+    when its entry is later than the target (the check is per slot)."""
+    slot = 1 << _L0_BITS
+    for target, ok in ((3 * slot + 10, False), (3 * slot, False), (3 * slot - 1, True)):
+        eng = Engine()
+        eng.at_anon(3 * slot + 50, lambda: None)
+        assert _claim_at(eng, target)[0] is ok
+
+
+def test_claim_refused_across_level1_bucket():
+    eng = Engine()
+    assert _claim_at(eng, 1 << _L1_BITS) == (False, 0)
+    eng = Engine()
+    assert _claim_at(eng, (1 << _L1_BITS) - 1) == (True, (1 << _L1_BITS) - 1)
+
+
+def test_claim_refused_past_far_heap_head():
+    eng = Engine()
+    eng.at_anon(20 * NS_PER_S, lambda: None)
+    assert _claim_at(eng, 21 * NS_PER_S) == (False, 0)
+
+
+def test_claim_refused_beyond_horizon():
+    eng = Engine()
+    assert _claim_at(eng, 1001, until_ns=1000) == (False, 0)
+    eng = Engine()
+    assert _claim_at(eng, 1000, until_ns=1000) == (True, 1000)
+
+
+def test_claim_refused_after_stop():
+    eng = Engine()
+    got = []
+
+    def cb():
+        eng.stop()
+        got.append(eng.claim(10))
+
+    eng.at_anon(0, cb)
+    eng.run()
+    assert got == [False]
+
+
+def test_claim_refused_with_max_events():
+    eng = Engine()
+    assert _claim_at(eng, 10, max_events=100) == (False, 0)
+
+
+def test_claim_refused_outside_run():
+    eng = Engine()
+    assert eng.claim(10) is False
+    eng.run()
+    assert eng.claim(10) is False
+
+
+def test_claim_refused_by_cancelled_head():
+    """A cancelled entry still stored before the target refuses the
+    claim (conservatively: the engine does not look inside entries)."""
+    eng = Engine()
+    got = []
+
+    def cb():
+        eng.after(50, lambda: None, label="dead").cancel()
+        got.append(eng.claim(60))
+
+    eng.at_anon(0, cb)
+    eng.run()
+    assert got == [False]
+
+
+def test_claim_evaluates_until_once_per_logical_event():
+    """The run's predicate is asked at every claim (after the event the
+    claim ends) and, once true, not asked again by run()."""
+    eng = Engine()
+    calls = []
+    limit = [3]
+
+    def until():
+        calls.append(eng.now_ns)
+        return len(calls) >= limit[0]
+
+    got = []
+
+    def cb():
+        for t in (10, 20, 30, 40):
+            ok = eng.claim(t)
+            got.append(ok)
+            if not ok:
+                eng.at_anon(t, lambda: None)
+                return
+
+    eng.at_anon(0, cb)
+    assert eng.run(until=until) == 3  # the callback plus two claims
+    assert got == [True, True, False]
+    assert calls == [0, 10, 20]
+    assert eng.pending() == 1
+
+
+def test_claims_count_as_events_and_leave_pending_unchanged():
+    eng = Engine()
+    eng.at_anon(NS_PER_MS, lambda: None)
+    got = []
+
+    def cb():
+        got.extend(eng.claim(t) for t in (10, 20, 30))
+
+    eng.at_anon(0, cb)
+    before = eng.pending()
+    assert eng.run(until_ns=100) == 4
+    assert got == [True, True, True]
+    assert eng.pending() == before - 1
+    assert eng.metrics.counter("engine.events").value == 4
+    assert eng.run() == 1
+    assert eng.metrics.counter("engine.events").value == 5
+
+
+def test_nested_run_restores_outer_bounds():
+    eng = Engine()
+    got = []
+
+    def inner():
+        got.append(("inner", eng.claim(eng.now_ns + 1)))  # max_events set
+
+    def outer():
+        eng.at_anon(5, inner)
+        assert eng.run(max_events=1) == 1
+        got.append(("past horizon", eng.claim(2000)))
+        got.append(("outer", eng.claim(500)))
+
+    eng.at_anon(0, outer)
+    assert eng.run(until_ns=1000) == 2  # outer callback + its claim
+    assert got == [("inner", False), ("past horizon", False), ("outer", True)]
+    assert eng.metrics.counter("engine.events").value == 3
+    assert eng.claim(1000) is False  # no run active any more

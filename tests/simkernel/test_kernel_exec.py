@@ -239,3 +239,112 @@ def test_itimer_posts_periodic_signal(kernel):
     t = kernel.spawn_process("app", factory)
     kernel.run_for(26_000_000)
     assert len(hits) >= 4  # ~every 5 ms over 26 ms
+
+
+# ----------------------------------------------------------------------
+# Page-cursor writes: one op per page, in order, counted once
+# ----------------------------------------------------------------------
+PAGE = 4096
+
+
+def _program(*op_list):
+    def factory(task, step):
+        def gen():
+            for op in op_list:
+                yield op
+            yield ops.Exit(code=0)
+
+        return gen()
+
+    return factory
+
+
+def _record_pages(kernel, on_page=None):
+    """Hook the hardware write tracker to log every page write."""
+    log = []
+
+    def tracker(task, vma, pidx, offset, length):
+        log.append((pidx, offset, length))
+        if on_page is not None:
+            on_page(task, pidx)
+
+    kernel.hw_tracker = tracker
+    return log
+
+
+def _usr1(kernel, task, handler_ops=(), uses_non_reentrant=False):
+    from repro.simkernel.signals import HandlerKind, SignalHandler
+
+    def handler_factory(tk):
+        def h():
+            yield ops.Compute(ns=1_000)
+            for op in handler_ops:
+                yield op
+
+        return h()
+
+    kernel.register_handler(task, Sig.SIGUSR1, SignalHandler(
+        kind=HandlerKind.USER, program_factory=handler_factory,
+        uses_non_reentrant=uses_non_reentrant))
+
+
+def test_multipage_write_retires_one_op_per_page_counted_once(kernel):
+    log = _record_pages(kernel)
+    t = run_program(kernel, _program(
+        ops.MemWrite(vma="heap", offset=100, nbytes=3 * PAGE, seed=1)))
+    assert log == [(0, 100, PAGE - 100), (1, 0, PAGE), (2, 0, PAGE), (3, 0, 100)]
+    assert t.main_steps == 1  # only the first page advances the cursor
+    assert t.registers.pc == 0x1000 + 4 * len(log)  # every page is an op
+
+
+def test_handler_write_rest_runs_after_the_interrupted_write(kernel):
+    """A write issued inside a handler frame defers its later pages until
+    the frame returns; they queue behind the interrupted write's rest,
+    which keeps its own page order."""
+    t = kernel.spawn_process("app", _program(
+        ops.MemWrite(vma="heap", offset=0, nbytes=4 * PAGE, seed=1)))
+    _usr1(kernel, t, [ops.MemWrite(vma="heap", offset=8 * PAGE + 4000,
+                                   nbytes=200, seed=2)])
+    posted = []
+
+    def on_page(task, pidx):
+        if not posted:
+            posted.append(pidx)
+            kernel.post_signal(task.pid, Sig.SIGUSR1)
+
+    log = _record_pages(kernel, on_page)
+    kernel.run_until_exit(t)
+    assert [p for p, _, _ in log] == [0, 8, 1, 2, 3, 9]
+
+
+@pytest.mark.parametrize("signal_page, hazards", [(0, 1), (1, 0)])
+def test_only_a_writes_first_page_is_non_reentrant(kernel, signal_page, hazards):
+    """A handler delivered after the first page of a malloc-region write
+    interrupted it; one delivered after a later page did not."""
+    t = kernel.spawn_process("app", _program(
+        ops.MemWrite(vma="heap", offset=0, nbytes=3 * PAGE, seed=1,
+                     non_reentrant=True)))
+    _usr1(kernel, t, uses_non_reentrant=True)
+
+    def on_page(task, pidx):
+        if pidx == signal_page:
+            kernel.post_signal(task.pid, Sig.SIGUSR1)
+
+    _record_pages(kernel, on_page)
+    kernel.run_until_exit(t)
+    assert t.signals.reentrancy_hazards == hazards
+
+
+def test_user_tracking_fault_retries_only_the_faulting_page(kernel):
+    from repro.mechanisms.incremental import arm_user_tracking
+
+    t = kernel.spawn_process("app", _program(
+        ops.MemWrite(vma="heap", offset=0, nbytes=3 * PAGE, seed=1),
+        ops.Syscall(name="mprotect", args=("heap", "arm")),
+        ops.MemWrite(vma="heap", offset=0, nbytes=3 * PAGE, seed=2)))
+    arm_user_tracking(kernel, t)
+    log = _record_pages(kernel)
+    kernel.run_until_exit(t)
+    assert [p for p, _, _ in log] == [0, 1, 2, 0, 1, 2]
+    assert t.acct.tracking_faults == 3
+    assert t.main_steps == 3

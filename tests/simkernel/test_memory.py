@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MemoryError_
 from repro.simkernel.costs import CostModel
@@ -78,6 +80,33 @@ def test_fill_pattern_is_deterministic(mm):
     mm2.write_access(h2, 0, 0, 128)
     mm2.fill_pattern(h2, 0, 0, 128, seed=9)
     assert page_checksum(snap1) == page_checksum(h2.read_page(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    page_size=st.sampled_from([4096, 8192]),
+    data=st.data(),
+    seed=st.integers(0, 2**70) | st.integers(2**32, 2**32 + 10**6),
+    pidx=st.integers(0, 3),
+)
+def test_fill_pattern_matches_arange_formula(page_size, data, seed, pidx):
+    """The uint8 ramp writes exactly what the original per-call
+    ``np.arange`` formula wrote, for every length, offset and seed."""
+    offset = data.draw(st.integers(0, page_size))
+    length = data.draw(st.integers(0, page_size - offset))
+    costs = CostModel(page_size=page_size)
+    m = AddressSpace(costs)
+    heap = m.map("heap", 4 * page_size, prot=Prot.RW, kind=VMAKind.HEAP)
+    page, _ = heap.ensure_page(pidx)
+    page[:] = 0xAB  # bytes outside the fill must survive
+    before = page.copy()
+    m.fill_pattern(heap, pidx, offset, length, seed)
+
+    base = (seed * 2654435761 + heap.start + pidx * 977 + offset) & 0xFFFFFFFF
+    vals = (np.arange(length, dtype=np.uint32) * 167 + base) & 0xFF
+    expected = before
+    expected[offset : offset + length] = vals.astype(np.uint8)
+    assert np.array_equal(heap.pages[pidx], expected)
 
 
 def test_tracking_arm_clean_and_fault_flow(mm):
