@@ -87,11 +87,19 @@ def indexed_uniforms(
 class FailureModel:
     """Base class: draws per-node times-to-failure (seconds).
 
-    ``stream_seed`` opts the model into the *indexed* (counter-based)
-    per-node streams used by the sharded fleet path
-    (:meth:`draw_ttf_indexed`); the sequential ``rng`` stream is
-    untouched by indexed draws, so the two disciplines never perturb
-    each other.
+    Two draw entry points, one per consumer:
+
+    * :meth:`draw_ttf_s` takes the next value of the sequential ``rng``
+      stream -- per-node scheduling
+      (:meth:`~repro.cluster.Cluster.schedule_failures`) and
+      storage-server failures;
+    * :meth:`draw_ttf_indexed` reads the *indexed* (counter-based)
+      per-node streams that ``stream_seed`` opts into -- every
+      :class:`~repro.cluster.ShardFleet` cohort and distributional
+      trial.
+
+    Indexed draws leave the sequential stream untouched, so the two
+    disciplines never perturb each other.
     """
 
     def __init__(
@@ -105,17 +113,6 @@ class FailureModel:
     def draw_ttf_s(self) -> float:
         """Sample one time-to-failure, in seconds."""
         raise NotImplementedError
-
-    def draw_ttf_array(self, n: int) -> np.ndarray:
-        """Sample ``n`` independent times-to-failure as a float array.
-
-        Subclasses override this with a single vectorized draw.  For the
-        NumPy distributions used here a size-``n`` draw consumes the
-        generator stream exactly like ``n`` scalar draws, so scalar and
-        vector paths produce identical samples from the same seed (the
-        cohort/per-node agreement tests rely on this).
-        """
-        return np.array([self.draw_ttf_s() for _ in range(n)], dtype=np.float64)
 
     def _indexed_u(self, node_ids: np.ndarray, draw_index: np.ndarray) -> np.ndarray:
         if self.stream_seed is None:
@@ -164,11 +161,6 @@ class ExponentialFailures(FailureModel):
     def draw_ttf_s(self) -> float:
         return float(self.rng.exponential(self.mtbf_s))
 
-    def draw_ttf_array(self, n: int) -> np.ndarray:
-        """One vectorized draw for the whole cohort (same stream as
-        ``n`` scalar draws)."""
-        return self.rng.exponential(self.mtbf_s, size=n)
-
     def draw_ttf_indexed(
         self, node_ids: np.ndarray, draw_index: np.ndarray
     ) -> np.ndarray:
@@ -199,11 +191,6 @@ class WeibullFailures(FailureModel):
 
     def draw_ttf_s(self) -> float:
         return float(self.scale * self.rng.weibull(self.shape))
-
-    def draw_ttf_array(self, n: int) -> np.ndarray:
-        """One vectorized draw for the whole cohort (same stream as
-        ``n`` scalar draws)."""
-        return self.scale * self.rng.weibull(self.shape, size=n)
 
     def draw_ttf_indexed(
         self, node_ids: np.ndarray, draw_index: np.ndarray

@@ -31,7 +31,7 @@ from ..storage import LocalDiskStorage, RemoteStorage
 from ..storage.backends import MemoryStorage, StorageBackend
 from ..storage.devices import memory_device
 from .failures import FailureModel
-from .fleet import NodeFleet
+from .shardfleet import ShardFleet
 
 __all__ = ["NodeState", "ClusterNode", "Cluster"]
 
@@ -126,7 +126,7 @@ class _NodeVector:
     over materialized nodes -- a 65,536-node cluster where a job touches
     four nodes builds four kernels, not 65,536.  Unmaterialized nodes
     are implicitly UP; their failure churn belongs to a
-    :class:`NodeFleet` cohort, not to per-node kernels.
+    :class:`ShardFleet` cohort, not to per-node kernels.
     """
 
     def __init__(self, cluster: "Cluster", n_total: int) -> None:
@@ -223,7 +223,7 @@ class Cluster:
         job or failure actually reaches.  Iteration over
         ``cluster.nodes`` then covers materialized nodes only;
         unmaterialized nodes are implicitly up, with their failure
-        churn handled by an attached :class:`NodeFleet` cohort (see
+        churn handled by an attached :class:`ShardFleet` cohort (see
         :meth:`attach_fleet`).
     """
 
@@ -249,7 +249,7 @@ class Cluster:
         self.costs = costs
         self.ncpus_per_node = ncpus_per_node
         #: Vectorized background-churn cohort (see :meth:`attach_fleet`).
-        self.fleet: Optional[NodeFleet] = None
+        self.fleet: Optional[ShardFleet] = None
         self._promote_on_failure = False
         self.storage_cluster: Optional[StorageCluster] = None
         self.storage_repairer: Optional[ReplicationRepairer] = None
@@ -372,12 +372,6 @@ class Cluster:
             raise ClusterError("cluster was built without an erasure level")
         self.erasure_cluster.fail_server(server_id)
 
-    def repair_erasure_server(self, server_id: int, data_survived: bool = True) -> None:
-        """Bring a failed erasure-group server back."""
-        if self.erasure_cluster is None:
-            raise ClusterError("cluster was built without an erasure level")
-        self.erasure_cluster.repair_server(server_id, data_survived=data_survived)
-
     def node(self, node_id: int) -> ClusterNode:
         """Node by id."""
         return self.nodes[node_id]
@@ -391,10 +385,6 @@ class Cluster:
         leave the rest of the cohort to the fleet.
         """
         return self.nodes[: self.n_compute]
-
-    def up_nodes(self) -> List[ClusterNode]:
-        """Every currently-serving node (materialized only, when lazy)."""
-        return [n for n in self.nodes if n.up]
 
     def materialized_nodes(self) -> int:
         """How many nodes have been built as full machines."""
@@ -442,12 +432,6 @@ class Cluster:
             raise ClusterError("cluster was built without storage servers")
         self.storage_cluster.fail_server(server_id)
 
-    def repair_storage_server(self, server_id: int, data_survived: bool = True) -> None:
-        """Bring a failed storage server back."""
-        if self.storage_cluster is None:
-            raise ClusterError("cluster was built without storage servers")
-        self.storage_cluster.repair_server(server_id, data_survived=data_survived)
-
     def schedule_failures(
         self,
         model: FailureModel,
@@ -461,13 +445,11 @@ class Cluster:
         may re-arm explicitly.
         """
         ids = node_ids if node_ids is not None else list(range(self.n_compute))
-        # One vectorized draw for the whole cohort: identical samples to
-        # the historical per-node loop (the NumPy size-n draw consumes
-        # the stream like n scalar draws), without touching -- or, on a
-        # lazy cluster, materializing -- any node.
-        ttf = model.draw_ttf_array(len(ids))
+        # One sequential draw per node in id order; no node is touched
+        # -- or, on a lazy cluster, materialized -- until it fails.
         scheduled = 0
-        for nid, ttf_s in zip(ids, ttf.tolist()):
+        for nid in ids:
+            ttf_s = model.draw_ttf_s()
             if horizon_s is not None and ttf_s > horizon_s:
                 continue
             delay_ns = int(ttf_s * NS_PER_S)
@@ -481,9 +463,11 @@ class Cluster:
         repair_s: float = 300.0,
         batch_window_ns: int = 0,
         promote_on_failure: bool = False,
-    ) -> NodeFleet:
+    ) -> ShardFleet:
         """Drive compute-node failure churn through a vectorized
-        :class:`NodeFleet` cohort instead of per-node events.
+        :class:`ShardFleet` cohort over ``[0, n_compute)`` instead of
+        per-node events.  The model must carry ``stream_seed=`` (the
+        cohort draws from the counter-based per-node streams).
 
         Nodes already materialized as full machines are detached from
         the cohort (their failures stay per-node and exact); nodes
@@ -496,9 +480,12 @@ class Cluster:
         """
         if self.fleet is not None:
             raise ClusterError("a fleet is already attached")
+        if model.stream_seed is None:
+            raise ClusterError("attach_fleet needs a model with stream_seed=")
         self._promote_on_failure = promote_on_failure
-        self.fleet = NodeFleet(
+        self.fleet = ShardFleet(
             self.engine,
+            0,
             self.n_compute,
             model,
             repair_s=repair_s,

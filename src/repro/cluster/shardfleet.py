@@ -1,27 +1,32 @@
-"""Shard-partitioned failure cohorts for million-node fleets.
+"""Vectorized, shard-partitionable failure cohorts.
 
-:class:`ShardFleet` is the sharded sibling of
-:class:`~repro.cluster.fleet.NodeFleet`: one instance per shard owns
-the contiguous global-id range ``[lo, hi)`` of a fleet partitioned by
-:func:`~repro.cluster.partition.shard_ranges`, keeps that slice's
-failure/repair process in NumPy arrays, and drives it with one
-dispatcher event on the *shard-local* engine.
+Simulating 65,536 nodes as individually scheduled failure callbacks
+costs one Python closure plus one engine event per node up front.  A
+:class:`ShardFleet` keeps a cohort's failure/repair process in NumPy
+arrays instead and drives it with one dispatcher event, scheduled at
+the earliest pending transition; when it fires, every node due at or
+before that instant is processed with vectorized masks.
 
-The difference that makes sharding deterministic is the draw
-discipline: where ``NodeFleet`` consumes one sequential generator
-stream in node order (so the draws a node sees depend on every node
-before it), ``ShardFleet`` uses the **counter-based per-node streams**
-of :meth:`~repro.cluster.FailureModel.draw_ttf_indexed` -- draw ``i``
-of node ``j`` is a pure function of ``(stream_seed, j, i)``.  Any
+One class serves both engines.  ``ShardFleet(engine, 0, n, model)`` is
+the single-engine cohort a :class:`~repro.cluster.Cluster` attaches
+for background churn; on the sharded engine each shard owns the
+contiguous global-id range ``[lo, hi)`` of a fleet partitioned by
+:func:`~repro.cluster.partition.shard_ranges` and drives its slice on
+the *shard-local* engine.
+
+The draw discipline is what makes sharding deterministic: the
+**counter-based per-node streams** of
+:meth:`~repro.cluster.FailureModel.draw_ttf_indexed` make draw ``i`` of
+node ``j`` a pure function of ``(stream_seed, j, i)``.  Any
 partitioning of the cohort therefore reproduces the exact same
 transition times, which is what the 1-vs-N-shard byte-identity gate
 measures.
 
-Accounting matches ``NodeFleet`` exactly: failure and repair times are
-taken from the arrays (exact even under a batch window), downtime
-accrues per repair, and the ``fleet.failures`` / ``fleet.repairs``
-counters carry the same names so folded exports line up with the
-single-shard vocabulary.
+Accounting is exact regardless of batching: failure and repair times
+are taken from the arrays, only the Python-visible processing moment is
+quantized by a batch window.  Downtime accrues per repair, and the
+``fleet.failures`` / ``fleet.repairs`` counters carry the same names in
+every shard so folded exports line up.
 """
 
 from __future__ import annotations
@@ -34,9 +39,16 @@ from ..errors import ClusterError
 from ..simkernel.costs import NS_PER_S
 from ..simkernel.engine import Engine
 from .failures import FailureModel
-from .fleet import _HORIZON_NS, _NEVER
 
 __all__ = ["ShardFleet", "trial_first_failure_s"]
+
+#: Sentinel for "no transition pending" (int64 max).
+_NEVER = np.iinfo(np.int64).max
+
+#: Saturation point for drawn/derived times (~146 simulated years).
+#: Anything beyond it cannot fire inside a realistic sweep, and capping
+#: here keeps every int64 add below the sentinel without overflow.
+_HORIZON_NS = _NEVER // 2
 
 #: Indexed-draw offset for distributional trials, so probe trials and
 #: the engine-driven run (draw indices 0, 1, 2, ...) never overlap.
@@ -63,14 +75,14 @@ def trial_first_failure_s(
 
 
 class ShardFleet:
-    """One shard's slice of a partitioned failure cohort.
+    """A failure cohort over the global node ids ``[lo, hi)``.
 
     Parameters
     ----------
     engine:
-        The shard-local simulation engine.
+        The simulation engine (shard-local on the sharded engine).
     lo, hi:
-        Global node-id range ``[lo, hi)`` this shard owns.
+        Global node-id range ``[lo, hi)`` this cohort owns.
     model:
         Failure model built with ``stream_seed=`` (indexed draws).
     repair_s:
@@ -83,8 +95,8 @@ class ShardFleet:
     on_repair:
         Optional ``fn(global_ids)`` when nodes come back up.
     batch_window_ns:
-        Dispatch quantum, as in ``NodeFleet``: 0 dispatches at exact
-        transition times; a positive window coalesces.  Accounting
+        Dispatch quantum: 0 dispatches at exact transition times; a
+        positive window coalesces.  Accounting
         stays exact either way, and because the quantization grid is
         absolute (multiples of the window), it is shard-invariant.
     """
@@ -124,11 +136,14 @@ class ShardFleet:
             self.global_ids, np.zeros(self.n_nodes, dtype=np.int64)
         )
         delta = np.minimum(ttf * NS_PER_S, _HORIZON_NS).astype(np.int64)
-        #: Next failure time per node; _NEVER while down.
+        #: Next failure time per node; _NEVER while down or detached.
         self.fail_at_ns = now + delta
         #: Repair-complete time per node; _NEVER while up.
         self.repair_at_ns = np.full(self.n_nodes, _NEVER, dtype=np.int64)
         self.down = np.zeros(self.n_nodes, dtype=bool)
+        #: Detached nodes are no longer driven by the cohort (they were
+        #: promoted to real ClusterNodes, or retired).
+        self.detached = np.zeros(self.n_nodes, dtype=bool)
 
         self.failures = 0
         self.repairs = 0
@@ -147,9 +162,16 @@ class ShardFleet:
         """Stop driving transitions (arrays keep their state)."""
         self._running = False
 
+    def detach(self, node_ids) -> None:
+        """Stop driving the given global ids (promotion hand-off)."""
+        idx = np.asarray(node_ids, dtype=np.int64) - self.lo
+        self.detached[idx] = True
+        self.fail_at_ns[idx] = _NEVER
+        self.repair_at_ns[idx] = _NEVER
+
     def up_count(self) -> int:
-        """Nodes currently up in this shard's range."""
-        return int((~self.down).sum())
+        """Nodes currently up (attached and not in repair)."""
+        return int((~self.down & ~self.detached).sum())
 
     def next_transition_ns(self) -> int:
         """Earliest pending failure or repair (``_NEVER`` if none)."""

@@ -26,7 +26,7 @@ Two process transports (``transport=`` on :func:`run_parallel`):
     :class:`~repro.simkernel.parallel.EnvelopeBatch` frame -- packed
     NumPy columns plus a canonical-JSON payload arena -- and obs
     exports are folded worker-side
-    (:func:`~repro.obs.fold.fold_exports_arrays`) and shipped as one
+    (:func:`~repro.obs.fold.fold_exports`) and shipped as one
     canonical-JSON frame per worker.  The pipes carry only control
     verbs and tiny ``(seq, offset, nbytes)`` doorbells.  Frames larger
     than a ring fall back to raw bytes over the pipe; a non-``fork``
@@ -64,7 +64,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..obs import MetricsRegistry, export_obs, to_json
-from ..obs.fold import fold_exports, fold_exports_arrays, strip_metrics
+from ..obs.fold import fold_exports, strip_metrics
 from ..simkernel.engine import Engine
 from ..simkernel.parallel import (
     Envelope,
@@ -258,7 +258,7 @@ def _worker_main(
                     # Fold this worker's shards here, ship one canonical
                     # JSON frame; the driver folds workers.  The fold is
                     # associative, so worker-then-driver equals flat.
-                    blob = to_json(fold_exports_arrays(docs)).encode("utf-8")
+                    blob = to_json(fold_exports(docs)).encode("utf-8")
 
                     def fill(mv, blob=blob):
                         mv[:len(blob)] = blob
@@ -654,7 +654,7 @@ def run_parallel(
             # the per-worker documents (associative => same bytes).
             registry.counter("parallel.shm_fallback_frames").inc(
                 group.fallback_frames)
-            folded = fold_exports_arrays(shard_obs)
+            folded = fold_exports(shard_obs)
         else:
             folded = fold_exports([strip_metrics(doc) for doc in shard_obs])
 

@@ -42,7 +42,6 @@ import numpy as np
 from ..core.digest import payload_digest
 from ..core.image import CheckpointImage, Chunk
 from ..errors import StorageError
-from ..simkernel.engine import Completion
 from ..storage.backends import StorageBackend
 
 __all__ = ["ChunkRef", "ImageManifest", "ContentStore", "DedupWriteStream"]
@@ -214,29 +213,6 @@ class ContentStore(StorageBackend):
             for r in manifest.refs
         ]
         return replace(manifest.meta, chunks=chunks)
-
-    # ------------------------------------------------------------------
-    # Asynchronous pipeline entry points
-    # ------------------------------------------------------------------
-    def _engine(self):
-        engine = getattr(getattr(self.inner, "storage", None), "engine", None)
-        if engine is None:
-            raise StorageError(
-                "async pipeline requires an engine-attached inner backend "
-                "(e.g. ReplicatedStore)"
-            )
-        return engine
-
-    def store_async(self, key: str, obj: Any, nbytes: int, now_ns: int) -> Completion:
-        """Dedup + quorum write returning a completion token (see
-        :meth:`ReplicatedStore.store_async`)."""
-        delay = self.store(key, obj, nbytes, now_ns)
-        return self._engine().completion(delay, value=delay)
-
-    def load_async(self, key: str, now_ns: int) -> Completion:
-        """Manifest + pack fetch resolved with the reassembled image."""
-        obj, delay = self.load(key, now_ns)
-        return self._engine().completion(delay, value=obj)
 
     def load_parallel(
         self, keys, now_ns: int

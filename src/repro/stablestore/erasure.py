@@ -69,7 +69,6 @@ import numpy as np
 
 from ..errors import StorageError, StorageLostError
 from ..simkernel.costs import NS_PER_MS, NS_PER_US
-from ..simkernel.engine import Completion
 from ..storage.backends import StorageBackend, StorageKind
 from .repair import ReplicationRepairer
 from .server import StorageCluster, StorageServer
@@ -831,18 +830,6 @@ class ErasureStore(StorageBackend):
         """Erasure reads are already a parallel shard fan-in."""
         return self.load(key, now_ns)
 
-    def store_async(self, key: str, obj: Any, nbytes: int, now_ns: int) -> Completion:
-        """Striped write as an engine completion (writeback pipeline)."""
-        delay = self.store(key, obj, nbytes, now_ns)
-        self.storage.engine.metrics.inc("storage.async_writes")
-        return self.storage.engine.completion(delay, value=delay)
-
-    def load_async(self, key: str, now_ns: int) -> Completion:
-        """Shard gather as an engine completion (restore prefetch)."""
-        obj, delay = self.load(key, now_ns)
-        self.storage.engine.metrics.inc("storage.async_reads")
-        return self.storage.engine.completion(delay, value=obj)
-
     def load_parallel(self, keys, now_ns: int) -> Tuple[Dict[str, Any], int]:
         """Prefetch several blobs issued at one instant (chain restore)."""
         objs: Dict[str, Any] = {}
@@ -1350,10 +1337,6 @@ class ErasureRepairer(ReplicationRepairer):
                      first.payload_kind)
             for i in indices
         }
-
-    def _rebuild(self, gathered: Dict[int, Shard], index: int) -> Shard:
-        """Re-encode one missing shard (single-shard convenience)."""
-        return self._rebuild_many(gathered, [index])[index]
 
     def _finish_shard(
         self,

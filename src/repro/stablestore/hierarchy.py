@@ -37,7 +37,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError, StorageLostError
 from ..simkernel.costs import NS_PER_MS
-from ..simkernel.engine import Completion
 from ..storage.backends import StorageBackend, StorageKind
 
 __all__ = ["StorageLevel", "HierarchicalStore", "HierarchyWriteStream"]
@@ -159,18 +158,6 @@ class HierarchicalStore(StorageBackend):
         self.max_reprotect_per_scan = int(max_reprotect_per_scan)
         #: key -> accounted nbytes of every blob the hierarchy accepted.
         self._directory: Dict[str, int] = {}
-        #: First engine-attached level cluster, so wrappers that reach
-        #: for ``inner.storage.engine`` (ContentStore's async entry
-        #: points) compose with a hierarchy exactly like with a
-        #: ReplicatedStore.
-        self.storage = next(
-            (
-                getattr(lv.backend, "storage")
-                for lv in self.levels
-                if hasattr(lv.backend, "storage")
-            ),
-            None,
-        )
         self.promotions = 0
         self.demotions = 0
         self.reprotects = 0
@@ -407,16 +394,6 @@ class HierarchicalStore(StorageBackend):
     def load_fanout(self, key: str, now_ns: int) -> Tuple[Any, int]:
         """Fan-out read through the serving level's own fan-out path."""
         return self._read_from_levels(key, now_ns, fanout=True)
-
-    def load_async(self, key: str, now_ns: int) -> Completion:
-        """Fan-out read as an engine completion (restore prefetch)."""
-        obj, delay = self.load_fanout(key, now_ns)
-        return self.engine.completion(delay, value=obj)
-
-    def store_async(self, key: str, obj: Any, nbytes: int, now_ns: int) -> Completion:
-        """Hierarchy write as an engine completion (writeback pipeline)."""
-        delay = self.store(key, obj, nbytes, now_ns)
-        return self.engine.completion(delay, value=delay)
 
     def load_parallel(self, keys, now_ns: int) -> Tuple[Dict[str, Any], int]:
         """Prefetch several blobs issued at one instant (chain restore)."""

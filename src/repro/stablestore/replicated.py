@@ -27,7 +27,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import StorageError, StorageLostError
 from ..simkernel.costs import NS_PER_MS, NS_PER_US
-from ..simkernel.engine import Completion
 from ..storage.backends import StorageBackend, StorageKind
 from .server import StorageCluster, StorageServer
 
@@ -263,23 +262,6 @@ class ReplicatedStore(StorageBackend):
         self._observe_read_latency(max(responders))
         return obj, max(responders)
 
-    # ------------------------------------------------------------------
-    # Asynchronous pipeline entry points
-    # ------------------------------------------------------------------
-    def store_async(self, key: str, obj: Any, nbytes: int, now_ns: int) -> Completion:
-        """Issue a quorum write and return a completion token.
-
-        The replica placement, retry walk, device accounting and metric
-        stream are exactly :meth:`store`'s; the difference is the caller
-        is not forced to sleep through the latency -- the returned token
-        resolves (with the write delay as its value) when the W-th
-        replica is durable, so a checkpoint drain can keep several writes
-        in flight and pay only the slowest at its commit barrier.
-        """
-        delay = self.store(key, obj, nbytes, now_ns)
-        self.storage.engine.metrics.inc("storage.async_writes")
-        return self.storage.engine.completion(delay, value=delay)
-
     def load_fanout(self, key: str, now_ns: int) -> Tuple[Any, int]:
         """Read from the R estimated-fastest live holders in parallel.
 
@@ -329,13 +311,6 @@ class ReplicatedStore(StorageBackend):
         metrics.observe("storage.read_ns", delay)
         self._observe_read_latency(delay)
         return obj, delay
-
-    def load_async(self, key: str, now_ns: int) -> Completion:
-        """Fan-out read returning a completion token resolved with the
-        blob once the R-th fastest holder has responded."""
-        obj, delay = self.load_fanout(key, now_ns)
-        self.storage.engine.metrics.inc("storage.async_reads")
-        return self.storage.engine.completion(delay, value=obj)
 
     def load_parallel(
         self, keys, now_ns: int

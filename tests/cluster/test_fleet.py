@@ -1,8 +1,9 @@
-"""Tests for the vectorized failure cohorts (NodeFleet) and lazy nodes.
+"""Tests for the single-engine failure cohort and lazy nodes.
 
-The cohort model must agree with the per-node scheduling path -- same
-generator stream, same failure times -- and a lazy cluster must only
-build the machines a job or failure actually touches.
+A cluster's background churn is a :class:`ShardFleet` over ``[0, n)``
+on the cluster's engine; per-node scheduling keeps the sequential
+stream.  A lazy cluster must only build the machines a job or failure
+actually touches.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import pytest
 from repro.cluster import (
     Cluster,
     ExponentialFailures,
-    NodeFleet,
     ParallelJob,
-    WeibullFailures,
+    ShardFleet,
+    trial_first_failure_s,
 )
 from repro.errors import ClusterError
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
@@ -29,69 +30,14 @@ def _writer(r):
 
 
 # ----------------------------------------------------------------------
-# Vectorized sampling
+# The cohort on one engine
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("make", [
-    lambda rng: ExponentialFailures(1000.0, rng=rng),
-    lambda rng: WeibullFailures(1000.0, shape=0.7, rng=rng),
-])
-def test_draw_ttf_array_matches_scalar_stream(make):
-    scalar = make(np.random.default_rng(42))
-    vector = make(np.random.default_rng(42))
-    seq = np.array([scalar.draw_ttf_s() for _ in range(64)])
-    vec = vector.draw_ttf_array(64)
-    assert np.array_equal(seq, vec)
-
-
-def test_base_model_draw_ttf_array_falls_back_to_scalar():
-    class Fixed(ExponentialFailures.__mro__[1]):  # FailureModel
-        def draw_ttf_s(self):
-            return 2.5
-
-    arr = Fixed().draw_ttf_array(5)
-    assert arr.shape == (5,)
-    assert (arr == 2.5).all()
-
-
-# ----------------------------------------------------------------------
-# Cohort vs per-node agreement
-# ----------------------------------------------------------------------
-def test_fleet_first_failures_match_per_node_schedule():
-    """Same seed, same model: the fleet's failure times must equal the
-    times the per-node scheduling path arms (first failure per node)."""
-    n = 32
-    eng_a = Engine(seed=9)
-    per_node = ExponentialFailures(200.0, rng=np.random.default_rng(77))
-    times_a = [int(t * NS_PER_S) for t in per_node.draw_ttf_array(n).tolist()]
-
-    eng_b = Engine(seed=9)
-    fleet = NodeFleet(eng_b, n,
-                      ExponentialFailures(200.0, rng=np.random.default_rng(77)),
-                      repair_s=1e9)  # effectively no repair/re-arm
-    observed = []
-    fleet.on_fail = lambda ids, ts: observed.extend(
-        zip(ids.tolist(), ts.tolist()))
-    fleet.start()
-    eng_b.run(until_ns=int(3600 * NS_PER_S))
-
-    expected = sorted((t, i) for i, t in enumerate(times_a)
-                      if t <= 3600 * NS_PER_S)
-    got = sorted((t, i) for i, t in observed)
-    assert got == expected
-    assert fleet.failures == len(expected)
-
-
 def test_fleet_distribution_agrees_with_analytic_mtbf():
     """Distribution-level check: mean time to first failure over many
     trials within 15% of node_mtbf / n."""
     n, mtbf = 64, 500.0
-    rng = np.random.default_rng(3)
-    draws = []
-    for _ in range(300):
-        eng = Engine()
-        fleet = NodeFleet(
-            eng, n, ExponentialFailures(mtbf, rng=rng), repair_s=1e9)
-        draws.append(fleet.time_to_first_failure_s())
+    model = ExponentialFailures(mtbf, stream_seed=3)
+    draws = [trial_first_failure_s(model, 0, n, t) for t in range(300)]
     sim = float(np.mean(draws))
     analytic = mtbf / n
     assert abs(sim - analytic) / analytic < 0.15
@@ -99,35 +45,31 @@ def test_fleet_distribution_agrees_with_analytic_mtbf():
 
 def test_fleet_repair_cycle_and_accounting():
     eng = Engine(seed=1)
-    fleet = NodeFleet(eng, 16,
-                      ExponentialFailures(30.0, rng=np.random.default_rng(5)),
-                      repair_s=5.0)
+    fleet = ShardFleet(eng, 0, 16, ExponentialFailures(30.0, stream_seed=5),
+                       repair_s=5.0)
     fleet.start()
     eng.run(until_ns=int(300 * NS_PER_S))
     assert fleet.failures > 0
     assert fleet.repairs > 0
     assert fleet.repairs <= fleet.failures
     assert fleet.downtime_ns == fleet.repairs * fleet.repair_ns
-    assert fleet.down_count() == fleet.failures - fleet.repairs
-    assert fleet.up_count() == 16 - fleet.down_count()
-    assert int(fleet.fail_counts.sum()) == fleet.failures
+    down = int(fleet.down.sum())
+    assert down == fleet.failures - fleet.repairs
+    assert fleet.up_count() == 16 - down
     assert fleet.first_failure_ns is not None
-    # Events stayed batched: far fewer engine events than node count
-    # would suggest for this much churn.
     assert eng.metrics.counter("fleet.failures").value == fleet.failures
 
 
 def test_fleet_same_seed_runs_are_identical():
     def run():
         eng = Engine(seed=4)
-        fleet = NodeFleet(
-            eng, 64,
-            ExponentialFailures(50.0, rng=np.random.default_rng(11)),
-            repair_s=10.0)
+        fleet = ShardFleet(eng, 0, 64,
+                           ExponentialFailures(50.0, stream_seed=11),
+                           repair_s=10.0)
         fleet.start()
         eng.run(until_ns=int(200 * NS_PER_S))
         return (fleet.failures, fleet.repairs, fleet.first_failure_ns,
-                fleet.fail_counts.tolist())
+                fleet.fail_at_ns.tolist())
 
     assert run() == run()
 
@@ -137,10 +79,9 @@ def test_fleet_batch_window_coalesces_dispatches_exact_stats():
     exact per-node failure times (only processing instants)."""
     def run(window):
         eng = Engine(seed=2)
-        fleet = NodeFleet(
-            eng, 128,
-            ExponentialFailures(20.0, rng=np.random.default_rng(8)),
-            repair_s=1e9, batch_window_ns=window)
+        fleet = ShardFleet(eng, 0, 128,
+                           ExponentialFailures(20.0, stream_seed=8),
+                           repair_s=1e9, batch_window_ns=window)
         seen = []
         fleet.on_fail = lambda ids, ts: seen.extend(ts.tolist())
         fleet.start()
@@ -153,23 +94,41 @@ def test_fleet_batch_window_coalesces_dispatches_exact_stats():
 
 
 def test_fleet_detach_stops_managing_nodes():
+    """Detached nodes -- up or in repair -- never fail or repair again
+    and are not counted as up."""
     eng = Engine()
-    fleet = NodeFleet(eng, 8,
-                      ExponentialFailures(10.0, rng=np.random.default_rng(1)),
-                      repair_s=1.0)
-    fleet.detach([0, 1, 2, 3, 4, 5, 6, 7])
+    fleet = ShardFleet(eng, 0, 8, ExponentialFailures(10.0, stream_seed=1),
+                       repair_s=5.0)
+    failed, repaired = [], []
+    fleet.on_fail = lambda ids, ts: failed.extend(ids.tolist())
+    fleet.on_repair = lambda ids: repaired.extend(ids.tolist())
+    fleet.detach([0, 1, 2, 3])
+    assert fleet.up_count() == 4
     fleet.start()
+    eng.run(until=lambda: fleet.failures > 0, until_ns=int(100 * NS_PER_S))
+    in_repair = np.nonzero(fleet.down)[0].tolist()
+    assert in_repair and set(in_repair) <= {4, 5, 6, 7}
+    fleet.detach(in_repair)
+    assert fleet.up_count() == 4 - len(in_repair)
     eng.run(until_ns=int(100 * NS_PER_S))
-    assert fleet.failures == 0
+    assert set(failed) <= {4, 5, 6, 7}
+    assert not set(repaired) & set(in_repair)
+    assert all(failed.count(n) == 1 for n in in_repair)
+    fleet.detach(range(8))
+    assert fleet.up_count() == 0
+    frozen = fleet.failures, fleet.repairs
+    eng.run(until_ns=int(1000 * NS_PER_S))
+    assert (fleet.failures, fleet.repairs) == frozen
     assert eng.pending() == 0
 
 
 def test_fleet_rejects_bad_parameters():
     eng = Engine()
     with pytest.raises(ClusterError):
-        NodeFleet(eng, 0, ExponentialFailures(10.0))
+        ShardFleet(eng, 0, 0, ExponentialFailures(10.0, stream_seed=1))
     with pytest.raises(ClusterError):
-        NodeFleet(eng, 4, ExponentialFailures(10.0), repair_s=-1.0)
+        ShardFleet(eng, 0, 4, ExponentialFailures(10.0, stream_seed=1),
+                   repair_s=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +147,8 @@ def test_lazy_cluster_materializes_only_touched_nodes():
 def test_lazy_cluster_fleet_churn_with_job():
     c = Cluster(n_nodes=65_536, seed=0, lazy_nodes=True)
     job = ParallelJob(c, _writer, n_ranks=4, node_ids=[0, 1, 2, 3])
-    fleet = c.attach_fleet(
-        ExponentialFailures(3600.0, rng=np.random.default_rng(2)),
-        repair_s=300.0)
+    fleet = c.attach_fleet(ExponentialFailures(3600.0, stream_seed=2),
+                           repair_s=300.0)
     # The job's nodes were already materialized, so the cohort must not
     # drive them.
     assert bool(fleet.detached[:4].all())
@@ -202,9 +160,8 @@ def test_lazy_cluster_fleet_churn_with_job():
 
 def test_fleet_promotion_materializes_and_fails_node():
     c = Cluster(n_nodes=1024, n_spares=1, seed=0, lazy_nodes=True)
-    c.attach_fleet(
-        ExponentialFailures(600.0, rng=np.random.default_rng(6)),
-        repair_s=1e6, promote_on_failure=True)
+    c.attach_fleet(ExponentialFailures(600.0, stream_seed=6),
+                   repair_s=1e6, promote_on_failure=True)
     failed = []
     c.on_failure(lambda node: failed.append(node.node_id))
     c.run_for(int(10 * NS_PER_S))
@@ -218,9 +175,16 @@ def test_fleet_promotion_materializes_and_fails_node():
 
 def test_attach_fleet_twice_rejected():
     c = Cluster(n_nodes=8, seed=0, lazy_nodes=True)
-    c.attach_fleet(ExponentialFailures(100.0))
+    c.attach_fleet(ExponentialFailures(100.0, stream_seed=1))
     with pytest.raises(ClusterError):
+        c.attach_fleet(ExponentialFailures(100.0, stream_seed=1))
+
+
+def test_attach_fleet_needs_indexed_model():
+    c = Cluster(n_nodes=8, seed=0, lazy_nodes=True)
+    with pytest.raises(ClusterError, match="stream_seed"):
         c.attach_fleet(ExponentialFailures(100.0))
+    assert c.fleet is None
 
 
 def test_lazy_cluster_spares_and_failures_work():
@@ -245,3 +209,23 @@ def test_schedule_failures_identical_on_lazy_and_eager_clusters():
         return c.engine.now_ns
 
     assert first_failure(False) == first_failure(True)
+
+
+def test_schedule_failures_arms_the_sequential_stream():
+    """Per-node scheduling takes one sequential draw per node in id
+    order: the armed instants are a size-n draw from the same seed."""
+    n, mtbf, horizon_s = 32, 200.0, 300.0
+    c = Cluster(n_nodes=n, seed=9, lazy_nodes=True)
+    fired = []
+    c.on_failure(lambda node: fired.append((c.engine.now_ns, node.node_id)))
+    armed = c.schedule_failures(
+        ExponentialFailures(mtbf, rng=np.random.default_rng(77)),
+        horizon_s=horizon_s)
+    c.engine.run(until_ns=int(3600 * NS_PER_S))
+
+    oracle = np.random.default_rng(77).exponential(mtbf, size=n)
+    expected = sorted((int(t * NS_PER_S), i)
+                      for i, t in enumerate(oracle.tolist())
+                      if t <= horizon_s)
+    assert armed == len(expected) > 0
+    assert sorted(fired) == expected

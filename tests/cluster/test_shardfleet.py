@@ -23,7 +23,7 @@ from repro.cluster import (
     shard_ranges,
     trial_first_failure_s,
 )
-from repro.cluster.fleet import _NEVER
+from repro.cluster.shardfleet import _NEVER
 from repro.errors import ClusterError
 from repro.simkernel import Engine
 from repro.simkernel.costs import NS_PER_S

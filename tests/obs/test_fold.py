@@ -112,8 +112,17 @@ class TestFoldExports:
         b = make_doc(hist=[("lat_ns", [5])])
         b["metrics"]["histograms"]["lat_ns"]["buckets"] = [1, 2]
         b["metrics"]["histograms"]["lat_ns"]["counts"] = [1, 0, 0]
-        with pytest.raises(ObservabilityError, match="bucket mismatch"):
-            fold_exports([a, b])
+        # A histogram only the second document carries, with its own
+        # buckets, mismatches just the same.
+        c = make_doc(hist=[("h", [5])])
+        d = make_doc()
+        d["metrics"]["histograms"]["h"] = {
+            "buckets": [1, 2], "counts": [0, 1, 0], "count": 1,
+            "sum": 2, "min": 2, "max": 2,
+        }
+        for docs in ([a, b], [c, d]):
+            with pytest.raises(ObservabilityError, match="bucket mismatch"):
+                fold_exports(docs)
 
     def test_empty_fold_rejected(self):
         with pytest.raises(ObservabilityError, match="nothing to fold"):
@@ -137,78 +146,81 @@ class TestFoldExports:
         assert len(out["spans"]) == 2
 
 
-class TestFoldExportsArrays:
-    """The array-backed fold must be byte-identical to the dict fold."""
+def _export_docs(integer_samples=False, spans=True):
+    """Hypothesis strategy for lists of random export documents: sparse
+    counter sets, numeric and string gauges, histogram samples and
+    span buffers."""
+    from hypothesis import strategies as st
 
-    def test_arrays_match_dict_fold_basic(self):
-        from repro.obs import fold_exports_arrays
+    from repro.obs import Tracer
 
-        docs = [
-            make_doc(counters=[("c", 3), ("d", 1)], gauges=[("g", 7)],
-                     hist=[("lat_ns", [100, 5000])], now_ns=50),
-            make_doc(counters=[("c", 4)], gauges=[("g", 5)],
-                     hist=[("lat_ns", [200_000])], now_ns=90),
-        ]
-        assert to_json(fold_exports_arrays(docs)) == to_json(
-            fold_exports(docs))
+    counter_names = ["a.x", "a.y", "b.z", "c.w"]
+    hist_names = ["lat_ns", "queue_depth"]
+    sample = st.integers(0, 10**9)
+    if not integer_samples:
+        sample = sample | st.floats(min_value=0.0, max_value=1e9,
+                                    allow_nan=False)
 
-    def test_arrays_reject_bucket_mismatch(self):
-        from repro.obs import fold_exports_arrays
+    @st.composite
+    def export_doc(draw):
+        reg = MetricsRegistry()
+        for name in sorted(draw(st.sets(
+                st.sampled_from(counter_names)))):
+            reg.inc(name, draw(st.integers(0, 10**6)))
+        if draw(st.booleans()):
+            reg.set_gauge("g.num", draw(st.integers(-5, 500)))
+        if draw(st.booleans()):
+            # Identical in every doc, as the fold contract requires.
+            reg.set_gauge("g.mode", "steady")
+        for name in sorted(draw(st.sets(st.sampled_from(hist_names)))):
+            for v in draw(st.lists(sample, max_size=6)):
+                reg.observe(name, v)
+        clock = {"t": draw(st.integers(0, 100))}
+        tracer = Tracer(clock=lambda: clock["t"])
+        for _ in range(draw(st.integers(0, 3 if spans else 0))):
+            clock["t"] += draw(st.integers(0, 100))
+            with tracer.span(draw(st.sampled_from(["s1", "s2"]))):
+                clock["t"] += draw(st.integers(1, 50))
+        return export_obs(reg, tracer=tracer,
+                          meta={"experiment": "prop-fold"},
+                          now_ns=clock["t"] + draw(st.integers(0, 100)))
 
-        a = make_doc(hist=[("h", [5])])
-        b = make_doc()
-        b["metrics"]["histograms"]["h"] = {
-            "buckets": [1, 2], "counts": [0, 1, 0], "count": 1,
-            "sum": 2, "min": 2, "max": 2,
-        }
-        with pytest.raises(ObservabilityError, match="bucket mismatch"):
-            fold_exports_arrays([a, b])
+    return st.lists(export_doc(), min_size=1, max_size=5)
 
-    def test_arrays_property_identical_over_random_exports(self):
-        """Property gate: random documents -- sparse counter sets (both
-        the packed-column and per-name fallback run), string gauges,
-        float samples and span buffers -- fold to the same bytes
-        through both paths."""
+
+class TestFoldAssociativity:
+    """The shm transport folds each worker's shards, then the parent
+    process folds the per-worker documents: that must be the flat
+    fold."""
+
+    def test_prefix_fold_then_rest_equals_flat_fold(self):
+        """Property gate: random documents, float samples and spans
+        included, fold to the same bytes whether a prefix of any length
+        is folded first or not."""
         from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from repro.obs import Tracer, fold_exports_arrays
-
-        counter_names = ["a.x", "a.y", "b.z", "c.w"]
-        hist_names = ["lat_ns", "queue_depth"]
-
-        @st.composite
-        def export_doc(draw):
-            reg = MetricsRegistry()
-            for name in sorted(draw(st.sets(
-                    st.sampled_from(counter_names)))):
-                reg.inc(name, draw(st.integers(0, 10**6)))
-            if draw(st.booleans()):
-                reg.set_gauge("g.num", draw(st.integers(-5, 500)))
-            if draw(st.booleans()):
-                # Identical in every doc, as the fold contract requires.
-                reg.set_gauge("g.mode", "steady")
-            for name in sorted(draw(st.sets(st.sampled_from(hist_names)))):
-                for v in draw(st.lists(
-                        st.integers(0, 10**9)
-                        | st.floats(min_value=0.0, max_value=1e9,
-                                    allow_nan=False),
-                        max_size=6)):
-                    reg.observe(name, v)
-            clock = {"t": draw(st.integers(0, 100))}
-            tracer = Tracer(clock=lambda: clock["t"])
-            for _ in range(draw(st.integers(min_value=0, max_value=3))):
-                clock["t"] += draw(st.integers(0, 100))
-                with tracer.span(draw(st.sampled_from(["s1", "s2"]))):
-                    clock["t"] += draw(st.integers(1, 50))
-            return export_obs(reg, tracer=tracer,
-                              meta={"experiment": "prop-fold"},
-                              now_ns=clock["t"] + draw(st.integers(0, 100)))
 
         @settings(deadline=None, max_examples=60)
-        @given(docs=st.lists(export_doc(), min_size=1, max_size=5))
+        @given(docs=_export_docs())
         def run(docs):
-            assert to_json(fold_exports_arrays(docs)) == to_json(
-                fold_exports(docs))
+            flat = to_json(fold_exports(docs))
+            for k in range(1, len(docs) + 1):
+                grouped = [fold_exports(docs[:k])] + docs[k:]
+                assert to_json(fold_exports(grouped)) == flat
+
+        run()
+
+    def test_round_robin_worker_grouping_equals_flat_fold(self):
+        """Span-free documents with integer samples fold to the same
+        bytes under the shm transport's grouping (document ``i`` on
+        worker ``i % w``) for every worker count ``w``."""
+        from hypothesis import given, settings
+
+        @settings(deadline=None, max_examples=60)
+        @given(docs=_export_docs(integer_samples=True, spans=False))
+        def run(docs):
+            flat = to_json(fold_exports(docs))
+            for w in range(1, len(docs) + 1):
+                workers = [fold_exports(docs[i::w]) for i in range(w)]
+                assert to_json(fold_exports(workers)) == flat
 
         run()

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.fold import fold_exports, fold_exports_arrays, strip_metrics
+from repro.obs.fold import fold_exports, strip_metrics
 from repro.obs import to_json
 from repro.runner import ProcessShardGroup, WorkerDiedError, run_parallel
 from repro.runner.shmtransport import ShmRing, shm_available
@@ -230,7 +230,7 @@ class TestShmTransport:
         finally:
             group.close()
         assert fallbacks > 0
-        assert to_json(fold_exports_arrays(docs)) == local.obs_json
+        assert to_json(fold_exports(docs)) == local.obs_json
         assert results == local.shard_results
 
     def test_worker_folds_its_shards(self):
@@ -240,7 +240,7 @@ class TestShmTransport:
         shm = _ring_run(workers=2, transport="shm")
         assert len(shm.shard_obs) == 2  # one per worker, not per shard
         assert len(local.shard_obs) == 3
-        assert to_json(fold_exports_arrays(shm.shard_obs)) == to_json(
+        assert to_json(fold_exports(shm.shard_obs)) == to_json(
             fold_exports([strip_metrics(d) for d in local.shard_obs]))
 
     def test_barrier_metrics_carried_by_batched_frame(self):

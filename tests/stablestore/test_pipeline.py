@@ -127,25 +127,6 @@ class TestReplicaWriteStream:
             store.open_stream("m/1/1", 0)
 
 
-class TestAsyncCompletions:
-    def test_store_async_resolves_at_commit_instant(self):
-        engine, _, store = make_store()
-        token = store.store_async("m/1/1", "obj", 1 << 20, engine.now_ns)
-        assert not token.done
-        engine.run(until_ns=10 * NS_PER_S)
-        assert token.done
-        assert token.value > 0
-        assert store.exists("m/1/1")
-
-    def test_load_async_resolves(self):
-        engine, _, store = make_store()
-        store.store("m/1/1", "obj", 4096, 0)
-        token = store.load_async("m/1/1", engine.now_ns)
-        engine.run(until_ns=10 * NS_PER_S)
-        assert token.done
-        assert token.value == "obj"
-
-
 class TestFanoutRead:
     def test_fanout_skips_dead_holder_without_timeout(self):
         # Serial load walks candidates and charges timeout+backoff for a

@@ -1,4 +1,5 @@
-"""Meta-tests: documentation coverage and DESIGN <-> benchmark consistency."""
+"""Meta-tests: documentation coverage, DESIGN <-> benchmark consistency
+and no dead definitions."""
 
 from __future__ import annotations
 
@@ -112,3 +113,43 @@ class TestTable1SourceOfTruth:
             "ZAP", "BLCR", "LAM/MPI", "PsncR/C", "Software Suspend",
             "Checkpoint",
         }
+
+
+#: Trees whose source counts as a use of a ``src/repro`` definition.
+_USE_ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples")
+
+
+def _defined_names():
+    """``(path, name)`` for every module-level function and every method
+    of a module-level class under ``src/repro``, dunders excluded."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            items = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in items:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield path, item.name
+
+
+class TestNoDeadDefinitions:
+    def test_every_definition_is_named_outside_its_def(self):
+        """A function or method nothing names is dead code: every name
+        must occur at least once more than it is ``def``-ined across the
+        source, test, benchmark and example trees."""
+        words: dict = {}
+        defs: dict = {}
+        for root in _USE_ROOTS:
+            for path in sorted((REPO / root).rglob("*.py")):
+                text = path.read_text()
+                for w in re.findall(r"[A-Za-z_]\w*", text):
+                    words[w] = words.get(w, 0) + 1
+                for w in re.findall(r"\bdef\s+([A-Za-z_]\w*)", text):
+                    defs[w] = defs.get(w, 0) + 1
+        dead = sorted(
+            f"{path.relative_to(SRC)}:{name}"
+            for path, name in _defined_names()
+            if words.get(name, 0) <= defs.get(name, 0)
+        )
+        assert not dead, f"definitions nothing names: {dead}"
