@@ -112,17 +112,8 @@ class TestFoldExports:
         b = make_doc(hist=[("lat_ns", [5])])
         b["metrics"]["histograms"]["lat_ns"]["buckets"] = [1, 2]
         b["metrics"]["histograms"]["lat_ns"]["counts"] = [1, 0, 0]
-        # A histogram only the second document carries, with its own
-        # buckets, mismatches just the same.
-        c = make_doc(hist=[("h", [5])])
-        d = make_doc()
-        d["metrics"]["histograms"]["h"] = {
-            "buckets": [1, 2], "counts": [0, 1, 0], "count": 1,
-            "sum": 2, "min": 2, "max": 2,
-        }
-        for docs in ([a, b], [c, d]):
-            with pytest.raises(ObservabilityError, match="bucket mismatch"):
-                fold_exports(docs)
+        with pytest.raises(ObservabilityError, match="bucket mismatch"):
+            fold_exports([a, b])
 
     def test_empty_fold_rejected(self):
         with pytest.raises(ObservabilityError, match="nothing to fold"):
@@ -144,6 +135,22 @@ class TestFoldExports:
         begins = [s["begin_ns"] for s in out["spans"]]
         assert begins == sorted(begins)
         assert len(out["spans"]) == 2
+
+
+class TestFoldExportsArrays:
+    """``fold_exports_arrays`` is kept as a name for ``fold_exports``."""
+
+    def test_arrays_reject_bucket_mismatch(self):
+        from repro.obs.fold import fold_exports_arrays
+
+        a = make_doc(hist=[("h", [5])])
+        b = make_doc()
+        b["metrics"]["histograms"]["h"] = {
+            "buckets": [1, 2], "counts": [0, 1, 0], "count": 1,
+            "sum": 2, "min": 2, "max": 2,
+        }
+        with pytest.raises(ObservabilityError, match="bucket mismatch"):
+            fold_exports_arrays([a, b])
 
 
 def _export_docs(integer_samples=False, spans=True):
