@@ -43,6 +43,11 @@ next to their timings:
   bar is a >=3x aggregate events/s gain at 4 shards -- the win is
   algorithmic (each fleet dispatch scans ``n/S`` nodes instead of
   ``n``), so it holds even on a single-core runner.
+* ``ring_exchange`` -- events/second of the all-cross-shard message
+  ring (every hop an envelope through the barrier exchange) on one
+  shard and on four in-process shards: the row that exercises the
+  envelope send, canonical merge and delivery path, with the folded
+  exports asserted byte-identical between the two.
 
 * ``erasure_kernels`` -- the GF(2^8) Reed-Solomon hot path: packed
   pair-table encode and degraded decode MB/s, the O(dirty)
@@ -521,6 +526,68 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
 
 
 # ----------------------------------------------------------------------
+# Conservative parallel engine: barrier exchange under ring traffic
+# ----------------------------------------------------------------------
+def bench_ring_exchange(n_ranks: int, msgs_per_rank: int, hops: int,
+                        repeats: int) -> Dict:
+    """Events/second of the message ring, 1 shard vs 4 in-process shards.
+
+    Every hop is one envelope: built by ``ShardContext.send``, routed
+    at the window barrier, merged in canonical order and delivered, so
+    this row measures the exchange path the failure-storm row never
+    touches (it exchanges 0 envelopes).  ``eps_*`` is the median over
+    ``repeats`` timed runs and ``eps_*_min`` the slowest one, so the
+    spread travels with the number.  ``byte_identical`` asserts the
+    folded obs exports of the two shard counts are the same bytes.
+    """
+    import os
+    import statistics
+
+    from repro.runner import run_parallel
+
+    hop_ns, spacing_ns = 1000, 125
+    params = {"n_ranks": n_ranks, "hop_ns": hop_ns, "hops": hops,
+              "msgs_per_rank": msgs_per_rank, "spacing_ns": spacing_ns}
+    horizon_ns = ((msgs_per_rank * n_ranks + 1) * spacing_ns
+                  + (hops + 1) * hop_ns)
+
+    def ring(shards: int):
+        return run_parallel(
+            "repro.cluster.scenarios:ring_traffic", params, 1,
+            n_shards=shards, horizon_ns=horizon_ns, lookahead_ns=hop_ns,
+            meta={"experiment": "bench-ring", "seed": 1},
+        )
+
+    def timed(shards: int):
+        res = ring(shards)
+        eps = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            ring(shards)
+            eps.append(res.stats.events / (time.perf_counter() - t0))
+        return res, eps
+
+    res1, eps1 = timed(1)
+    res4, eps4 = timed(4)
+    return {
+        "ranks": n_ranks,
+        "msgs_per_rank": msgs_per_rank,
+        "hops": hops,
+        "cpu_count": os.cpu_count() or 1,
+        "repeats": repeats,
+        "envelopes": res4.stats.exchanged,
+        "events": res4.stats.events,
+        "eps_1shard": round(statistics.median(eps1)),
+        "eps_1shard_min": round(min(eps1)),
+        "eps_4shard": round(statistics.median(eps4)),
+        "eps_4shard_min": round(min(eps4)),
+        "byte_identical": float(res1.obs_json == res4.obs_json
+                                and res1.stats.exchanged
+                                == res4.stats.exchanged),
+    }
+
+
+# ----------------------------------------------------------------------
 # Asynchronous C/R pipeline: downtime overlap and restart prefetch
 # ----------------------------------------------------------------------
 def bench_pipeline(n_ckpts: int, chain_len: int) -> Dict:
@@ -881,6 +948,8 @@ def run(repeats: int) -> Dict:
             n_nodes=65536, mtbf_s=200_000.0, horizon_s=1800.0,
             repeats=max(1, repeats // 2),
         ),
+        "ring_exchange": bench_ring_exchange(
+            n_ranks=1024, msgs_per_rank=4, hops=8, repeats=repeats),
         "pipeline": bench_pipeline(n_ckpts=6, chain_len=9),
         "distsnap": bench_distsnap(n=6, rate=15_000.0,
                                    repeats=max(1, repeats // 2)),
@@ -898,6 +967,8 @@ EXACT_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pipeline", "restart_speedup"),
     ("pipeline", "overlap"),
     ("parallel_engine", "byte_identical"),
+    ("ring_exchange", "byte_identical"),
+    ("ring_exchange", "envelopes"),
     ("distsnap", "exactly_once"),
     ("distsnap", "marker_logged_msgs"),
     ("storage_hierarchy", "envelope_survival"),
@@ -913,6 +984,7 @@ RATIO_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("engine", "storm_hybrid_eps"),
     ("grid_runner", "speedup_cold"),
     ("parallel_engine", "speedup_4shard"),
+    ("ring_exchange", "eps_4shard"),
     ("distsnap", "cycles_per_s"),
     ("storage_hierarchy", "encode_mbps"),
     ("erasure_kernels", "encode_mbps"),

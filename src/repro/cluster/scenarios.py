@@ -26,10 +26,10 @@ interaction goes through ``ctx.send``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ClusterError
-from ..simkernel.parallel import ShardContext
+from ..simkernel.parallel import EnvelopeKind, ShardContext
 from ..stablestore.shardsvc import ShardStorageService
 from .failures import ExponentialFailures, WeibullFailures
 from .partition import shard_of, shard_range
@@ -163,7 +163,7 @@ class _RingScenario:
     message is delivered exactly once with an identical payload.
     """
 
-    KIND = "ring.msg"
+    KIND = EnvelopeKind("ring.msg", ("dst", "hops_left", "value"))
 
     def __init__(self, ctx: ShardContext, params: Dict[str, Any],
                  seed: int) -> None:
@@ -176,6 +176,11 @@ class _RingScenario:
         self.digest = 0
         self.sent = ctx.engine.metrics.counter("ring.sent")
         self.recv = ctx.engine.metrics.counter("ring.recv")
+        # Resolved on the first delivery, not here: a run in which no
+        # message arrives (zero messages, or a horizon before the first
+        # hop) exports no ``ring.hop_ns`` histogram at all, rather than
+        # an empty one.
+        self._hop_hist = None
         ctx.on(self.KIND, self._on_msg)
         lo, hi = shard_range(ctx.shard_id, self.n_ranks, ctx.n_shards)
         for rank in range(lo, hi):
@@ -192,7 +197,7 @@ class _RingScenario:
         self.sent.inc()
         self.ctx.send(
             self.KIND,
-            {"dst": dst, "value": value, "hops_left": hops_left},
+            (dst, hops_left, value),
             delay_ns=self.hop_ns,
             dst_shard=shard_of(dst, self.n_ranks, self.ctx.n_shards),
         )
@@ -200,13 +205,17 @@ class _RingScenario:
     def _launch(self, rank: int, value: int) -> None:
         self._forward(rank, value, self.hops - 1)
 
-    def _on_msg(self, payload: Dict[str, Any]) -> None:
+    def _on_msg(self, payload: Tuple[int, int, int]) -> None:
+        dst, hops_left, value = payload
         self.recv.inc()
-        self.digest ^= payload["value"]
-        self.ctx.engine.metrics.observe("ring.hop_ns", self.hop_ns)
-        if payload["hops_left"] > 0:
-            self._forward(payload["dst"], _mix(payload["value"]),
-                          payload["hops_left"] - 1)
+        self.digest ^= value
+        hist = self._hop_hist
+        if hist is None:
+            hist = self._hop_hist = self.ctx.engine.metrics.histogram(
+                "ring.hop_ns")
+        hist.observe(self.hop_ns)
+        if hops_left > 0:
+            self._forward(dst, _mix(value), hops_left - 1)
 
     def stop(self) -> bool:
         return False

@@ -31,6 +31,7 @@ from .memory import AddressSpace, PageFlag, Prot, VMA, VMAKind
 from .modules import KernelModule, install_static
 from .parallel import (
     Envelope,
+    EnvelopeKind,
     LocalShardGroup,
     ParallelError,
     ShardContext,
@@ -91,6 +92,7 @@ __all__ = [
     "SocketFile",
     "VFS",
     "Envelope",
+    "EnvelopeKind",
     "ShardContext",
     "ShardGroup",
     "LocalShardGroup",

@@ -29,6 +29,11 @@ The design here:
   single-shard run routes every cross-machine send through the barrier,
   so the event schedule a shard executes is *identical* whether it runs
   alone or next to fifteen siblings;
+* every message type is an :class:`EnvelopeKind` -- a name plus a
+  sorted tuple of int field names.  A payload is a tuple of ints in
+  field order, and its canonical JSON (the sort tiebreak and the wire
+  form) comes from a ``%d`` template the kind compiles once, so a send
+  never calls ``json.dumps``;
 * each shard sorts its incoming envelopes by a **canonical key**
   ``(deliver_at_ns, kind, canonical-JSON payload, src_shard)`` before
   scheduling them, so the merge is independent of arrival order, worker
@@ -54,7 +59,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -65,6 +72,7 @@ from .engine import Engine
 __all__ = [
     "Envelope",
     "EnvelopeBatch",
+    "EnvelopeKind",
     "ParallelError",
     "ShardContext",
     "ShardGroup",
@@ -96,32 +104,78 @@ def derive_lookahead(*latencies_ns: int) -> int:
     return lo
 
 
-def _payload_key(payload: Any) -> str:
-    """Canonical JSON of an envelope payload (the sort tiebreak)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: Only exact ``int`` values format to the same bytes under ``%d`` as
+#: under ``json.dumps`` (``bool`` would print ``1``, not ``true``).
+_INT_ONLY = frozenset((int,))
 
 
-@dataclass(frozen=True)
-class Envelope:
+class EnvelopeKind:
+    """A cross-shard message type: a name and its sorted int fields.
+
+    A payload is a tuple of ``int`` values in ``fields`` order.  The
+    kind compiles its canonical-JSON form once, as a ``%d`` template
+    such as ``'{"dst":%d,"hops_left":%d,"value":%d}'``, so
+    :meth:`key` renders exactly the bytes
+    ``json.dumps(dict(zip(fields, values)), sort_keys=True,
+    separators=(",", ":"))`` would -- the fields are sorted, and ``%d``
+    prints an exact ``int`` the way JSON does -- at a fraction of the
+    cost.  Anything that would print differently (``bool``, ``float``,
+    ``str``, NumPy integers) is rejected instead.
+    """
+
+    __slots__ = ("name", "fields", "_template")
+
+    def __init__(self, name: str, fields: Sequence[str]) -> None:
+        fields = tuple(fields)
+        if not all(isinstance(f, str) for f in fields):
+            raise ParallelError(f"kind {name!r}: field names must be str")
+        if list(fields) != sorted(set(fields)):
+            raise ParallelError(
+                f"kind {name!r}: fields {fields} must be sorted and unique"
+            )
+        self.name = name
+        self.fields = fields
+        self._template = "{" + ",".join(
+            json.dumps(f).replace("%", "%%") + ":%d" for f in fields
+        ) + "}"
+
+    def key(self, values: Tuple[int, ...]) -> str:
+        """Canonical JSON of ``values`` (the sort tiebreak and wire form)."""
+        if (values.__class__ is not tuple
+                or len(values) != len(self.fields)
+                or not _INT_ONLY.issuperset(map(type, values))):
+            raise ParallelError(
+                f"kind {self.name!r} takes a tuple of {len(self.fields)} "
+                f"ints {self.fields}, got {values!r}"
+            )
+        return self._template % values
+
+
+class Envelope(NamedTuple):
     """One cross-shard event, exchanged at a window barrier.
 
-    ``payload_key`` is the canonical JSON of the payload, computed once
-    at send time; together with ``(deliver_at_ns, kind, src_shard)`` it
-    makes the barrier merge order total and content-determined.
+    A plain tuple whose first four items are the canonical merge key:
+    ``payload_key`` is the canonical JSON of ``payload``, rendered once
+    at send time, so together with ``(deliver_at_ns, kind, src_shard)``
+    it makes the barrier merge order total and content-determined.
     """
 
     deliver_at_ns: int
     kind: str
-    dst_shard: int
-    src_shard: int
-    payload: Dict[str, Any]
     payload_key: str
+    src_shard: int
+    dst_shard: int
+    payload: Tuple[Any, ...]
 
-    @property
-    def sort_key(self) -> Tuple[int, str, str, int]:
-        """Canonical merge key: a pure function of envelope content."""
-        return (self.deliver_at_ns, self.kind, self.payload_key,
-                self.src_shard)
+
+#: Canonical merge key of an :class:`Envelope`: a pure function of its
+#: content.
+envelope_sort_key = itemgetter(0, 1, 2, 3)
+
+#: Builds an :class:`Envelope` from a positional tuple without the
+#: keyword-handling ``__new__`` frame ``NamedTuple`` generates (the
+#: send and decode hot paths).
+_new_envelope = tuple.__new__
 
 
 class EnvelopeBatch:
@@ -132,12 +186,13 @@ class EnvelopeBatch:
     (``deliver_at_ns``/``src_shard``/``dst_shard``, a per-frame kind
     table with ``uint16`` indices) plus a side arena holding the
     canonical-JSON payload keys back to back.  Nothing is pickled:
-    the payload *is* its canonical JSON (computed once at send time for
-    the sort key), so the receiver rebuilds each payload with one
-    ``json.loads``.  This is also the contract the encoding imposes:
-    envelope payloads must round-trip canonical JSON, which every
-    payload already satisfies by construction of ``payload_key``
-    (string-keyed dicts of JSON scalars/containers).
+    the payload *is* its canonical JSON (rendered once at send time by
+    the :class:`EnvelopeKind` template, for the sort key), so the
+    receiver rebuilds each payload tuple as
+    ``tuple(json.loads(key).values())`` -- the key lists its fields in
+    sorted order, which is the kind's declared field order.  The codec
+    itself is type-agnostic: any flat JSON object round-trips, so a
+    key is never re-rendered on the receiving side.
 
     Routing happens on the columns -- :meth:`select` slices rows with a
     boolean mask and :meth:`concat` re-merges frames -- so the barrier
@@ -200,17 +255,16 @@ class EnvelopeBatch:
         starts = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(self.key_len, out=starts[1:])
         blob = self.keys_blob
+        kinds = self.kinds
         out = []
-        for i in range(self.n):
-            key = bytes(blob[starts[i]:starts[i + 1]]).decode("utf-8")
-            out.append(Envelope(
-                deliver_at_ns=int(self.deliver_at[i]),
-                kind=self.kinds[self.kind_id[i]],
-                dst_shard=int(self.dst_shard[i]),
-                src_shard=int(self.src_shard[i]),
-                payload=json.loads(key),
-                payload_key=key,
-            ))
+        for at, kid, src, dst, lo, hi in zip(
+                self.deliver_at.tolist(), self.kind_id.tolist(),
+                self.src_shard.tolist(), self.dst_shard.tolist(),
+                starts[:-1].tolist(), starts[1:].tolist()):
+            key = bytes(blob[lo:hi]).decode("utf-8")
+            out.append(_new_envelope(Envelope, (
+                at, kinds[kid], key, src, dst,
+                tuple(json.loads(key).values()))))
         return out
 
     # ------------------------------------------------------------------
@@ -331,32 +385,41 @@ class ShardContext:
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.lookahead_ns = lookahead_ns
-        self._handlers: Dict[str, Callable[[Dict[str, Any]], None]] = {}
+        self._handlers: Dict[str, Callable[[Tuple[int, ...]], None]] = {}
         self._outbox: List[Envelope] = []
         self._sent = engine.metrics.counter("parallel.sent")
         self._delivered = engine.metrics.counter("parallel.delivered")
 
     # ------------------------------------------------------------------
-    def on(self, kind: str, handler: Callable[[Dict[str, Any]], None]) -> None:
-        """Register the handler for envelope ``kind`` (one per kind)."""
-        if kind in self._handlers:
-            raise ParallelError(f"duplicate handler for envelope kind {kind!r}")
-        self._handlers[kind] = handler
+    def on(self, kind: EnvelopeKind,
+           handler: Callable[[Tuple[int, ...]], None]) -> None:
+        """Register the handler for envelope ``kind`` (one per kind name).
+
+        The handler receives the payload tuple, in ``kind.fields`` order.
+        """
+        if kind.name in self._handlers:
+            raise ParallelError(
+                f"duplicate handler for envelope kind {kind.name!r}")
+        self._handlers[kind.name] = handler
 
     def send(
         self,
-        kind: str,
-        payload: Dict[str, Any],
+        kind: EnvelopeKind,
+        values: Tuple[int, ...],
         delay_ns: int,
         dst_shard: int,
     ) -> None:
         """Queue a cross-machine event for barrier exchange.
 
-        ``delay_ns`` must be at least the lookahead -- that is the
-        conservative condition that makes in-window parallelism safe.
-        The discipline is uniform: a send whose destination happens to
-        live on this same shard *still* goes through the barrier, so
-        event interleaving does not depend on the partitioning.
+        ``values`` is a tuple of exact ``int`` values in ``kind.fields``
+        order; :meth:`EnvelopeKind.key` renders its canonical JSON from
+        the kind's precompiled template (the same bytes ``json.dumps``
+        with sorted keys would produce).  ``delay_ns`` must be at least
+        the lookahead -- that is the conservative condition that makes
+        in-window parallelism safe.  The discipline is uniform: a send
+        whose destination happens to live on this same shard *still*
+        goes through the barrier, so event interleaving does not depend
+        on the partitioning.
         """
         if self.lookahead_ns is None:
             raise ParallelError(
@@ -368,15 +431,11 @@ class ShardContext:
             )
         if not 0 <= dst_shard < self.n_shards:
             raise ParallelError(f"dst_shard {dst_shard} out of range")
+        key = kind.key(values)
         self._sent.inc()
-        self._outbox.append(Envelope(
-            deliver_at_ns=self.engine.now_ns + int(delay_ns),
-            kind=kind,
-            dst_shard=int(dst_shard),
-            src_shard=self.shard_id,
-            payload=payload,
-            payload_key=_payload_key(payload),
-        ))
+        self._outbox.append(_new_envelope(Envelope, (
+            self.engine.now_ns + int(delay_ns), kind.name, key,
+            self.shard_id, int(dst_shard), values)))
 
     # ------------------------------------------------------------------
     def run_window(self, end_ns: int) -> Tuple[List[Envelope], int]:
@@ -393,29 +452,30 @@ class ShardContext:
     def deliver(self, envelopes: Sequence[Envelope]) -> None:
         """Schedule a barrier batch in canonical order.
 
-        Sorting by :attr:`Envelope.sort_key` makes the local schedule a
+        Sorting by :data:`envelope_sort_key` makes the local schedule a
         pure function of the batch's *contents* -- workers may hand the
         batch over in any order.
         """
         now = self.engine.now_ns
-        for env in sorted(envelopes, key=lambda e: e.sort_key):
-            if env.dst_shard != self.shard_id:
+        shard_id = self.shard_id
+        handlers = self._handlers
+        at_anon = self.engine.at_anon
+        delivered = self._delivered
+        for at, kind, _, _, dst, payload in sorted(envelopes,
+                                                   key=envelope_sort_key):
+            if dst != shard_id:
                 raise ParallelError(
-                    f"envelope for shard {env.dst_shard} delivered to "
-                    f"shard {self.shard_id}"
+                    f"envelope for shard {dst} delivered to shard {shard_id}"
                 )
-            handler = self._handlers.get(env.kind)
+            handler = handlers.get(kind)
             if handler is None:
-                raise ParallelError(f"no handler for envelope kind {env.kind!r}")
-            if env.deliver_at_ns < now:
+                raise ParallelError(f"no handler for envelope kind {kind!r}")
+            if at < now:
                 raise ParallelError(
-                    f"envelope {env.kind!r} arrives in the past "
-                    f"({env.deliver_at_ns} < {now}): lookahead violated"
+                    f"envelope {kind!r} arrives in the past "
+                    f"({at} < {now}): lookahead violated"
                 )
-            self.engine.at_anon(
-                env.deliver_at_ns,
-                lambda h=handler, p=env.payload: (self._delivered.inc(), h(p)),
-            )
+            at_anon(at, lambda h=handler, p=payload: (delivered.inc(), h(p)))
 
     def next_time_ns(self) -> Optional[int]:
         """Earliest pending local event (lower bound; None when idle)."""
@@ -479,7 +539,7 @@ class ShardGroup:
         for reply in replies:
             for env in reply.outbox:
                 inboxes[env.dst_shard].append(env)
-                exchanged += 1
+            exchanged += len(reply.outbox)
         nexts = [reply.next_ns for reply in replies]
         if exchanged:
             updated = self.deliver_all(inboxes)

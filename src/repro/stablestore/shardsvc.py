@@ -25,16 +25,17 @@ link floors.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Tuple
 
 from ..errors import StorageError
-from ..simkernel.parallel import ShardContext
+from ..simkernel.parallel import EnvelopeKind, ShardContext
 
 __all__ = ["ShardStorageService", "server_home_shard"]
 
 #: Envelope kinds the service claims on every shard.
-REQ_KIND = "sstore.req"
-ACK_KIND = "sstore.ack"
+REQ_KIND = EnvelopeKind(
+    "sstore.req", ("bytes", "client", "client_shard", "sent_ns", "server"))
+ACK_KIND = EnvelopeKind("sstore.ack", ("bytes", "client", "sent_ns", "server"))
 
 
 def server_home_shard(server_id: int, n_shards: int) -> int:
@@ -122,13 +123,8 @@ class ShardStorageService:
             raise StorageError(f"server {server_id} out of range")
         self.ctx.send(
             REQ_KIND,
-            {
-                "server": int(server_id),
-                "client": int(client),
-                "client_shard": int(client_shard),
-                "bytes": int(nbytes),
-                "sent_ns": self.ctx.engine.now_ns,
-            },
+            (int(nbytes), int(client), int(client_shard),
+             self.ctx.engine.now_ns, int(server_id)),
             delay_ns=self.propagation_ns,
             dst_shard=server_home_shard(server_id, self.ctx.n_shards),
         )
@@ -140,39 +136,35 @@ class ShardStorageService:
         """Deterministic service time for an ``nbytes`` request."""
         return self.service_floor_ns + int(nbytes * self.ns_per_byte)
 
-    def _on_request(self, payload: Dict[str, Any]) -> None:
-        server = payload["server"]
+    def _on_request(self, payload: Tuple[int, int, int, int, int]) -> None:
+        nbytes, client, client_shard, sent_ns, server = payload
         frontier = self.busy_until.get(server)
         if frontier is None:
             raise StorageError(
                 f"server {server} is not homed on shard {self.ctx.shard_id}"
             )
         now = self.ctx.engine.now_ns
-        service = self.service_ns(payload["bytes"])
+        service = self.service_ns(nbytes)
         start = max(now, frontier)
         finish = start + service
         self.busy_until[server] = finish
         self._requests.inc()
-        self._req_bytes.inc(payload["bytes"])
+        self._req_bytes.inc(nbytes)
         self._service_hist.observe(service)
         self._queue_hist.observe(start - now)
         # (finish - now) >= service >= 0, plus the propagation floor:
         # the ack delay always satisfies the lookahead.
         self.ctx.send(
             ACK_KIND,
-            {
-                "server": server,
-                "client": payload["client"],
-                "bytes": payload["bytes"],
-                "sent_ns": payload["sent_ns"],
-            },
+            (nbytes, client, sent_ns, server),
             delay_ns=(finish - now) + self.propagation_ns,
-            dst_shard=payload["client_shard"],
+            dst_shard=client_shard,
         )
 
-    def _on_ack(self, payload: Dict[str, Any]) -> None:
+    def _on_ack(self, payload: Tuple[int, int, int, int]) -> None:
+        _, _, sent_ns, _ = payload
         self._acks.inc()
-        self._rtt_hist.observe(self.ctx.engine.now_ns - payload["sent_ns"])
+        self._rtt_hist.observe(self.ctx.engine.now_ns - sent_ns)
 
     # ------------------------------------------------------------------
     def acked(self) -> int:

@@ -10,6 +10,9 @@ send and deliver time, and the window driver skips idle virtual time.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,18 +22,35 @@ from repro.simkernel import Engine
 from repro.simkernel.costs import NS_PER_S, NS_PER_US
 from repro.simkernel.parallel import (
     Envelope,
+    EnvelopeKind,
     LocalShardGroup,
     ParallelError,
     ShardContext,
     derive_lookahead,
+    envelope_sort_key,
     run_windows,
 )
 from repro.runner import run_parallel
+
+#: A kind with no fields (payload ``()``, key ``{}``) for validation tests.
+K = EnvelopeKind("k", ())
 
 
 def make_ctx(shard_id=0, n_shards=1, lookahead_ns=1000):
     return ShardContext(Engine(seed=1), shard_id, n_shards,
                         lookahead_ns=lookahead_ns)
+
+
+def make_env(deliver_at_ns, kind, dst_shard, src_shard, payload, key):
+    return Envelope(deliver_at_ns=deliver_at_ns, kind=kind,
+                    payload_key=key, src_shard=src_shard,
+                    dst_shard=dst_shard, payload=payload)
+
+
+def json_key(fields, values):
+    """The reference canonical form the templated key must reproduce."""
+    return json.dumps(dict(zip(fields, values)), sort_keys=True,
+                      separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -49,62 +69,138 @@ class TestConservativeConditions:
     def test_send_below_lookahead_rejected(self):
         ctx = make_ctx(lookahead_ns=1000)
         with pytest.raises(ParallelError, match="violates lookahead"):
-            ctx.send("k", {}, delay_ns=999, dst_shard=0)
+            ctx.send(K, (), delay_ns=999, dst_shard=0)
 
     def test_send_without_channels_rejected(self):
         ctx = ShardContext(Engine(seed=1), 0, 1, lookahead_ns=None)
         with pytest.raises(ParallelError, match="no cross-shard channels"):
-            ctx.send("k", {}, delay_ns=10**9, dst_shard=0)
+            ctx.send(K, (), delay_ns=10**9, dst_shard=0)
 
     def test_past_delivery_rejected(self):
         ctx = make_ctx()
-        ctx.on("k", lambda p: None)
+        ctx.on(K, lambda p: None)
         ctx.engine.run(until_ns=5000)
-        stale = Envelope(deliver_at_ns=4000, kind="k", dst_shard=0,
-                         src_shard=0, payload={}, payload_key="{}")
+        stale = make_env(4000, "k", 0, 0, (), "{}")
         with pytest.raises(ParallelError, match="lookahead violated"):
             ctx.deliver([stale])
 
     def test_wrong_shard_delivery_rejected(self):
         ctx = make_ctx(shard_id=0, n_shards=2)
-        misrouted = Envelope(deliver_at_ns=10, kind="k", dst_shard=1,
-                             src_shard=0, payload={}, payload_key="{}")
+        misrouted = make_env(10, "k", 1, 0, (), "{}")
         with pytest.raises(ParallelError, match="delivered to"):
             ctx.deliver([misrouted])
 
     def test_duplicate_handler_rejected(self):
         ctx = make_ctx()
-        ctx.on("k", lambda p: None)
+        ctx.on(K, lambda p: None)
         with pytest.raises(ParallelError, match="duplicate handler"):
-            ctx.on("k", lambda p: None)
+            ctx.on(EnvelopeKind("k", ("other",)), lambda p: None)
 
     def test_unknown_kind_rejected(self):
         ctx = make_ctx()
-        env = Envelope(deliver_at_ns=10, kind="mystery", dst_shard=0,
-                       src_shard=0, payload={}, payload_key="{}")
+        env = make_env(10, "mystery", 0, 0, (), "{}")
         with pytest.raises(ParallelError, match="no handler"):
             ctx.deliver([env])
+
+    def test_send_rejects_values_the_kind_cannot_render(self):
+        """A rejected send leaves nothing in the outbox."""
+        ctx = make_ctx()
+        kind = EnvelopeKind("v", ("a", "b"))
+        for bad in [(1,), (1, 2, 3), [1, 2], (1, True), (1, 2.0)]:
+            with pytest.raises(ParallelError, match="takes a tuple"):
+                ctx.send(kind, bad, delay_ns=1000, dst_shard=0)
+        outbox, _ = ctx.run_window(0)
+        assert outbox == []
+
+
+# ----------------------------------------------------------------------
+# Envelope kinds: the templated key is the canonical JSON, exactly
+# ----------------------------------------------------------------------
+field_names = st.lists(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+            max_size=6),
+    unique=True, max_size=5,
+).map(sorted)
+
+
+class TestEnvelopeKind:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), fields=field_names)
+    def test_key_is_byte_identical_to_json_dumps(self, data, fields):
+        values = tuple(data.draw(st.lists(
+            st.integers(-2**70, 2**70),
+            min_size=len(fields), max_size=len(fields))))
+        kind = EnvelopeKind("k", fields)
+        assert kind.key(values) == json_key(fields, values)
+        # And the wire form decodes back to the payload tuple.
+        assert tuple(json.loads(kind.key(values)).values()) == values
+
+    def test_field_names_needing_escapes(self):
+        fields = sorted(['%d', '"q"', "back\\slash", "caf\u00e9", "%%"])
+        values = tuple(range(-2, 3))
+        kind = EnvelopeKind("k", fields)
+        assert kind.key(values) == json_key(fields, values)
+
+    def test_last_field_orders_10_before_1(self):
+        """``}`` sorts after the digits, so in the closing field the key
+        string puts 10 before 1."""
+        kind = EnvelopeKind("k", ("a", "z"))
+        one, ten = kind.key((0, 1)), kind.key((0, 10))
+        assert (one, ten) == ('{"a":0,"z":1}', '{"a":0,"z":10}')
+        assert ten < one
+
+    def test_inner_field_orders_1_before_10(self):
+        """``,`` sorts before the digits, so in any other field 1 comes
+        before 10."""
+        kind = EnvelopeKind("k", ("a", "z"))
+        one, ten = kind.key((1, 0)), kind.key((10, 0))
+        assert (one, ten) == ('{"a":1,"z":0}', '{"a":10,"z":0}')
+        assert one < ten
+
+    def test_negative_values(self):
+        kind = EnvelopeKind("k", ("a", "b"))
+        for values in [(-1, -10), (-2**70, 2**70), (-9, -10)]:
+            assert kind.key(values) == json_key(kind.fields, values)
+        assert kind.key((-1, 0)) < kind.key((1, 0))  # "-" sorts first
+
+    @pytest.mark.parametrize("bad", [
+        (True,), (False,), (1.0,), ("1",), (np.int64(1),), (None,),
+        (), (1, 2), [1],
+    ], ids=["true", "false", "float", "str", "np.int64", "none",
+            "too-few", "too-many", "list"])
+    def test_malformed_values_rejected(self, bad):
+        with pytest.raises(ParallelError, match="takes a tuple"):
+            EnvelopeKind("k", ("a",)).key(bad)
+
+    @pytest.mark.parametrize("fields", [
+        ("b", "a"), ("a", "a"), ("a", "b", "a"), ("hops_left", "dst"),
+    ])
+    def test_unsorted_or_duplicate_fields_rejected(self, fields):
+        with pytest.raises(ParallelError, match="sorted and unique"):
+            EnvelopeKind("k", fields)
+
+    def test_non_str_field_rejected(self):
+        with pytest.raises(ParallelError, match="must be str"):
+            EnvelopeKind("k", (1, 2))
 
 
 # ----------------------------------------------------------------------
 # Canonical envelope ordering
 # ----------------------------------------------------------------------
+V = EnvelopeKind("k", ("v",))
+
+
 class TestCanonicalMerge:
     def _batch(self):
         envs = []
-        for t, val in [(500, "c"), (100, "b"), (100, "a"), (500, "a")]:
-            payload = {"v": val}
-            envs.append(Envelope(
-                deliver_at_ns=t, kind="k", dst_shard=0, src_shard=0,
-                payload=payload,
-                payload_key=f'{{"v":"{val}"}}',
-            ))
+        for t, val in [(500, 3), (100, 2), (100, 1), (500, 1)]:
+            envs.append(make_env(t, "k", 0, 0, (val,), V.key((val,))))
         return envs
 
     def _run(self, envelopes):
         ctx = make_ctx()
         seen = []
-        ctx.on("k", lambda p: seen.append(p["v"]))
+        ctx.on(V, lambda p: seen.append(p[0]))
         ctx.deliver(envelopes)
         ctx.engine.run()
         return seen
@@ -117,20 +213,27 @@ class TestCanonicalMerge:
         results = [self._run(o) for o in orders]
         assert results[0] == results[1] == results[2]
         # And the canonical order itself: time first, then payload JSON.
-        assert results[0] == ["a", "b", "a", "c"]
+        assert results[0] == [1, 2, 1, 3]
+
+    def test_same_instant_follows_key_string_not_numbers(self):
+        """9 < 10 numerically, but ``{"v":10}`` < ``{"v":9}`` as strings:
+        the schedule follows the string, exactly as the JSON key did."""
+        envs = [make_env(100, "k", 0, 0, (v,), V.key((v,))) for v in (9, 10)]
+        assert self._run(envs) == self._run(envs[::-1]) == [10, 9]
 
     def test_src_shard_is_last_tiebreak(self):
-        twins = [
-            Envelope(100, "k", 0, src, {"v": "x"}, '{"v":"x"}')
-            for src in (3, 1)
-        ]
-        keys = sorted(e.sort_key for e in twins)
+        twins = [make_env(100, "k", 0, src, (7,), V.key((7,)))
+                 for src in (3, 1)]
+        keys = sorted(envelope_sort_key(e) for e in twins)
         assert [k[-1] for k in keys] == [1, 3]
 
 
 # ----------------------------------------------------------------------
 # Window driver mechanics
 # ----------------------------------------------------------------------
+PING = EnvelopeKind("ping", ("hops_left",))
+
+
 class _PingPong:
     """Two shards lobbing one envelope back and forth ``rounds`` times."""
 
@@ -139,18 +242,19 @@ class _PingPong:
         self.rounds = rounds
         self.hop_ns = hop_ns
         self.got = 0
-        ctx.on("ping", self._on_ping)
+        ctx.on(PING, self._on_ping)
         if ctx.shard_id == 0:
             ctx.engine.at_anon(0, lambda: self._send(rounds))
 
     def _send(self, hops_left):
-        self.ctx.send("ping", {"hops_left": hops_left}, self.hop_ns,
+        self.ctx.send(PING, (hops_left,), self.hop_ns,
                       dst_shard=1 - self.ctx.shard_id)
 
     def _on_ping(self, payload):
+        (hops_left,) = payload
         self.got += 1
-        if payload["hops_left"] > 1:
-            self._send(payload["hops_left"] - 1)
+        if hops_left > 1:
+            self._send(hops_left - 1)
 
 
 def pingpong_factory(rounds, hop_ns):
