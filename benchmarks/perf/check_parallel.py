@@ -7,26 +7,21 @@ stdlib:
 * **1-vs-N byte identity**: the folded ``repro.obs`` export of a
   failure-storm fleet is the same bytes for 1, 2 and 4 shards, and the
   persistent-worker process backend folds to the same bytes as the
-  in-process reference;
+  in-process reference at 1 and 4 shards (``workers`` is capped at
+  ``n_shards``, so a 1-shard run still steps its shard in a worker);
 * the all-cross-shard **ring traffic** scenario delivers every message
   exactly once (sent == received, xor digest identical across shard
   counts) -- the barrier exchange neither drops nor duplicates;
 * the **restart-traffic** scenario actually exchanges envelopes across
-  shards (the identity above is not vacuous) and every failed node's
+  shards (the identity above is not vacuous), folds to the same bytes
+  when its envelope frames cross worker pipes, and every failed node's
   storage read is acknowledged;
 * a **speedup smoke**: aggregate events/s at 4 shards is at least 1.5x
   the 1-shard run.  The full >=3x acceptance bar lives in
   ``BENCH_PERF.json`` (``parallel_engine.speedup_4shard``); this bar is
   deliberately lenient because CI runners are small and noisy, but a
   sharded run that is *not meaningfully faster* means the O(n/S)
-  dispatch win has rotted;
-* a **shm-transport smoke**: when the host can run the shared-memory
-  transport (fork + ``multiprocessing.shared_memory``), the folded
-  export over shm is byte-identical to the pipe transport at 1 and 4
-  shards, and -- only when at least 4 CPUs are actually available --
-  shm aggregate events/s clears a lenient >=1.3x bar over the pipe
-  transport at 4 shards (the full >=1.5x bar lives in
-  ``BENCH_PERF.json``'s shm rows).
+  dispatch win has rotted.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -37,7 +32,6 @@ Usage::
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,15 +40,13 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.runner import run_parallel  # noqa: E402
-from repro.runner.shmtransport import shm_available  # noqa: E402
 from repro.simkernel.costs import NS_PER_S, NS_PER_US  # noqa: E402
 
 MIN_SPEEDUP = 1.5
-MIN_SHM_SPEEDUP = 1.3  # shm over pipe at 4 shards, >=4 real CPUs only
 
 
 def storm(shards: int, workers: int = 1, n_nodes: int = 65536,
-          horizon_s: float = 900.0, transport: str = "auto"):
+          horizon_s: float = 900.0):
     """One failure-storm run (the speedup + identity workload)."""
     return run_parallel(
         "repro.cluster.scenarios:fleet_storm",
@@ -64,7 +56,6 @@ def storm(shards: int, workers: int = 1, n_nodes: int = 65536,
         horizon_ns=int(horizon_s * NS_PER_S),
         window_ns=30 * NS_PER_S,
         workers=workers,
-        transport=transport,
         meta={"experiment": "smoke-storm", "n_nodes": n_nodes, "seed": 17},
     )
 
@@ -79,13 +70,15 @@ def main() -> int:
         if runs[s].obs_json != ref:
             print(f"FAIL: {s}-shard folded export differs from 1-shard")
             status = 1
-    procs = storm(4, workers=2)
-    if procs.obs_json != ref:
-        print("FAIL: process-backend folded export differs from in-process")
-        status = 1
+    for s in (1, 4):
+        if storm(s, workers=2).obs_json != ref:
+            print(f"FAIL: process-backend folded export differs from "
+                  f"in-process at {s} shard(s)")
+            status = 1
     if not status:
         print(f"identity: storm exports byte-identical for 1/2/4 shards "
-              f"and the process backend ({len(ref)}B folded doc)")
+              f"and the process backend at 1 and 4 shards "
+              f"({len(ref)}B folded doc)")
 
     # 2. Ring traffic: exactly-once across the barrier exchange.
     hop_ns = 50 * NS_PER_US
@@ -113,24 +106,30 @@ def main() -> int:
 
     # 3. Restart traffic: cross-shard envelopes actually flow.
     prop_ns = 2_000_000
-    rt = {}
-    for s in (1, 4):
-        rt[s] = run_parallel(
+
+    def restart(shards, workers=1):
+        return run_parallel(
             "repro.cluster.scenarios:fleet_restart_traffic",
             {"n_nodes": 256, "mtbf_s": 2_000.0, "repair_s": 120.0,
              "n_servers": 5, "image_bytes": 1 << 20,
              "propagation_ns": prop_ns, "service_floor_ns": 5_000_000,
              "ns_per_byte": 0.01},
-            seed=11, n_shards=s, horizon_ns=900 * NS_PER_S,
-            lookahead_ns=prop_ns,
+            seed=11, n_shards=shards, horizon_ns=900 * NS_PER_S,
+            lookahead_ns=prop_ns, workers=workers,
             meta={"experiment": "smoke-restart", "seed": 11},
         )
+
+    rt = {s: restart(s) for s in (1, 4)}
     c = rt[4].obs["metrics"]["counters"]
     print(f"restart: {c['sstore.requests']} reads, {c['sstore.acks']} acks, "
           f"{rt[4].stats.exchanged} envelopes over {rt[4].stats.windows} "
           "windows")
     if rt[1].obs_json != rt[4].obs_json:
         print("FAIL: restart-traffic export differs between 1 and 4 shards")
+        status = 1
+    if restart(4, workers=2).obs_json != rt[1].obs_json:
+        print("FAIL: restart-traffic export over worker processes differs "
+              "from in-process")
         status = 1
     if rt[4].stats.exchanged == 0:
         print("FAIL: no envelopes crossed shards -- the identity check "
@@ -160,53 +159,6 @@ def main() -> int:
         print(f"FAIL: 4-shard speedup {speedup:.2f}x below the "
               f"{MIN_SPEEDUP}x smoke bar")
         status = 1
-
-    # 5. Shared-memory transport: byte identity always, throughput bar
-    #    only when the host has real cores to show it on.
-    probe = storm(4, workers=2, horizon_s=60.0)
-    if not shm_available() or probe.transport != "shm":
-        print("shm: transport unavailable on this host "
-              f"(auto picked {probe.transport!r}); smoke skipped")
-    else:
-        for shards in (1, 4):
-            # One shard still exercises the frame path: the uniform
-            # barrier discipline routes same-shard sends through it
-            # (workers>1 is capped at n_shards but still selects the
-            # process backend, so the transport applies at 1 shard too).
-            pipe_run = storm(shards, workers=2, transport="pipe")
-            shm_run = storm(shards, workers=2, transport="shm")
-            if shm_run.obs_json != pipe_run.obs_json:
-                print(f"FAIL: shm folded export differs from pipe at "
-                      f"{shards} shard(s)")
-                status = 1
-        if not status:
-            print("shm: folded exports byte-identical to pipe at 1 and "
-                  "4 shards")
-        cpus = os.cpu_count() or 1
-        if cpus >= 4:
-
-            def timed_transport(transport):
-                best = float("inf")
-                events = 0
-                for _ in range(2):
-                    t0 = time.perf_counter()
-                    res = storm(4, workers=4, transport=transport)
-                    best = min(best, time.perf_counter() - t0)
-                    events = res.stats.events
-                return events / best
-
-            eps_pipe = timed_transport("pipe")
-            eps_shm = timed_transport("shm")
-            ratio = eps_shm / eps_pipe
-            print(f"shm speedup: {eps_pipe:.0f} -> {eps_shm:.0f} "
-                  f"aggregate events/s over pipe ({ratio:.2f}x)")
-            if ratio < MIN_SHM_SPEEDUP:
-                print(f"FAIL: shm transport {ratio:.2f}x below the "
-                      f"{MIN_SHM_SPEEDUP}x bar over pipe at 4 shards")
-                status = 1
-        else:
-            print(f"shm: {cpus} CPU(s) < 4 -- transport throughput bar "
-                  "skipped (byte identity still enforced)")
 
     print("OK: parallel engine within acceptance bars" if not status
           else "check_parallel: FAILED")

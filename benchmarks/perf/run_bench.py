@@ -35,19 +35,18 @@ next to their timings:
   acceptance bar is a >=4x sweep speedup.
 * ``parallel_engine`` -- aggregate events/second of a failure-storm
   fleet through the conservative time-windowed parallel engine
-  (:mod:`repro.simkernel.parallel`): 1 shard vs 4 shards in-process vs
-  4 shards over worker processes -- the latter on both the pickle pipe
-  transport and the zero-copy shared-memory transport
-  (:mod:`repro.runner.shmtransport`) -- with the folded ``repro.obs``
-  exports asserted byte-identical across all of them.  The acceptance
-  bar is a >=3x aggregate events/s gain at 4 shards -- the win is
-  algorithmic (each fleet dispatch scans ``n/S`` nodes instead of
-  ``n``), so it holds even on a single-core runner.
+  (:mod:`repro.simkernel.parallel`): 1 shard vs 4 in-process shards,
+  with the folded ``repro.obs`` exports asserted byte-identical.  The
+  acceptance bar is a >=3x aggregate events/s gain at 4 shards -- the
+  win is algorithmic (each fleet dispatch scans ``n/S`` nodes instead
+  of ``n``), so it holds even on a single-core runner.
 * ``ring_exchange`` -- events/second of the all-cross-shard message
   ring (every hop an envelope through the barrier exchange) on one
-  shard and on four in-process shards: the row that exercises the
-  envelope send, canonical merge and delivery path, with the folded
-  exports asserted byte-identical between the two.
+  shard, on four in-process shards and on four shards over two worker
+  processes: the row that exercises the envelope send, canonical merge
+  and delivery path -- and, for the process backend, the window and
+  deliver frames over the worker pipes -- with the folded exports
+  asserted byte-identical across all three.
 
 * ``erasure_kernels`` -- the GF(2^8) Reed-Solomon hot path: packed
   pair-table encode and degraded decode MB/s, the O(dirty)
@@ -439,22 +438,16 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
     """Aggregate events/second of a failure-storm fleet, sharded.
 
     The same seeded storm (``n_nodes`` nodes, low MTBF, fast repair --
-    every transition a dispatcher event) runs three ways: one shard,
-    four shards stepped in-process, and four shards over worker
-    processes.  ``speedup_4shard`` is the aggregate events/s ratio of
-    the 4-shard in-process run over the 1-shard run; it is dominated by
-    the O(``n/S``) fleet dispatch (each shard's dispatcher scans only
-    its own slice), so it exceeds the 3x acceptance bar even without
-    spare cores.  The process-backend row records the real ``workers``
-    and ``cpu_count`` so its number is interpretable on any runner.
+    every transition a dispatcher event) runs on one shard and on four
+    shards stepped in-process.  ``speedup_4shard`` is the aggregate
+    events/s ratio of the 4-shard run over the 1-shard run; it is
+    dominated by the O(``n/S``) fleet dispatch (each shard's dispatcher
+    scans only its own slice), so it exceeds the 3x acceptance bar even
+    without spare cores.  The storm exchanges no envelopes, so the
+    process backend is measured on ``ring_exchange`` instead.
 
     ``byte_identical`` asserts the hard determinism gate inline: the
-    folded obs exports of all runs -- both process transports included
-    -- are the same bytes.  ``transport`` records the data path the
-    headline ``eps_4shard_procs`` row used (what ``transport="auto"``
-    picks on this host); the per-transport rows
-    (``eps_4shard_procs_pipe`` / ``eps_4shard_procs_shm``) make the
-    zero-copy win measurable against the pickle protocol directly.
+    folded obs exports of both runs are the same bytes.
     """
     import os
 
@@ -466,62 +459,36 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
     meta = {"experiment": "bench-storm", "n_nodes": n_nodes, "seed": 17}
     horizon_ns = int(horizon_s * NS_PER_S)
     window_ns = 30 * NS_PER_S  # barrier every 30 simulated seconds
-    cpu = os.cpu_count() or 1
-    workers = max(2, min(4, cpu))
 
-    def storm(shards: int, nworkers: int, transport: str = "auto"):
+    def storm(shards: int):
         return run_parallel(
             "repro.cluster.scenarios:fleet_storm", params, 17,
             n_shards=shards, horizon_ns=horizon_ns, window_ns=window_ns,
-            workers=nworkers, transport=transport, meta=meta,
+            meta=meta,
         )
 
-    def timed(shards: int, nworkers: int, transport: str = "auto"):
-        res = storm(shards, nworkers, transport)
-        t = best_of(lambda: storm(shards, nworkers, transport), repeats)
+    def timed(shards: int):
+        res = storm(shards)
+        t = best_of(lambda: storm(shards), repeats)
         return res, t
 
-    res1, t1 = timed(1, 1)
-    res4, t4 = timed(4, 1)
-    res_pipe, t_pipe = timed(4, workers, "pipe")
-    # What would auto pick?  Probe once so the shm rows are honest nulls
-    # on hosts that cannot run the shm transport at all.
-    probe = storm(4, workers)
-    shm_ok = probe.transport == "shm"
-    if shm_ok:
-        res_shm, t_shm = timed(4, workers, "shm")
-    else:  # pragma: no cover - spawn-only / no shared_memory host
-        res_shm, t_shm = None, None
-
+    res1, t1 = timed(1)
+    res4, t4 = timed(4)
     eps1 = res1.stats.events / t1
     eps4 = res4.stats.events / t4
-    eps_pipe = res_pipe.stats.events / t_pipe
-    eps_shm = res_shm.stats.events / t_shm if shm_ok else None
-    eps_procs = eps_shm if shm_ok else eps_pipe
-    identical = (res1.obs_json == res4.obs_json == res_pipe.obs_json
-                 == probe.obs_json)
-    if shm_ok:
-        identical = identical and res_shm.obs_json == res1.obs_json
     return {
         "nodes": n_nodes,
         "mtbf_s": mtbf_s,
         "horizon_s": horizon_s,
-        "workers": workers,
-        "cpu_count": cpu,
-        "transport": probe.transport,
+        "cpu_count": os.cpu_count() or 1,
         "windows": res4.stats.windows,
         "envelopes": res4.stats.exchanged,
         "events_1shard": res1.stats.events,
         "events_4shard": res4.stats.events,
         "eps_1shard": round(eps1),
         "eps_4shard": round(eps4),
-        "eps_4shard_procs": round(eps_procs),
-        "eps_4shard_procs_pipe": round(eps_pipe),
-        "eps_4shard_procs_shm": round(eps_shm) if shm_ok else None,
         "speedup_4shard": round(eps4 / eps1, 2),
-        "speedup_4shard_procs": round(eps_procs / eps1, 2),
-        "shm_vs_pipe": round(eps_shm / eps_pipe, 2) if shm_ok else None,
-        "byte_identical": float(identical),
+        "byte_identical": float(res1.obs_json == res4.obs_json),
     }
 
 
@@ -530,15 +497,20 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
 # ----------------------------------------------------------------------
 def bench_ring_exchange(n_ranks: int, msgs_per_rank: int, hops: int,
                         repeats: int) -> Dict:
-    """Events/second of the message ring, 1 shard vs 4 in-process shards.
+    """Events/second of the message ring: 1 shard, 4 in-process shards,
+    and 4 shards over ``workers`` processes.
 
     Every hop is one envelope: built by ``ShardContext.send``, routed
     at the window barrier, merged in canonical order and delivered, so
     this row measures the exchange path the failure-storm row never
-    touches (it exchanges 0 envelopes).  ``eps_*`` is the median over
-    ``repeats`` timed runs and ``eps_*_min`` the slowest one, so the
-    spread travels with the number.  ``byte_identical`` asserts the
-    folded obs exports of the two shard counts are the same bytes.
+    touches (it exchanges 0 envelopes).  On the process backend each
+    window also crosses the worker pipes as one envelope frame per
+    worker each way.  ``eps_*`` is the median over ``repeats`` timed
+    runs and ``eps_*_min`` the slowest one, so the spread travels with
+    the number.  ``speedup_4shard_procs`` is the process run's median
+    over the 1-shard median, with the real ``workers`` and
+    ``cpu_count`` recorded.  ``byte_identical`` asserts the folded obs
+    exports of all three runs are the same bytes.
     """
     import os
     import statistics
@@ -546,33 +518,36 @@ def bench_ring_exchange(n_ranks: int, msgs_per_rank: int, hops: int,
     from repro.runner import run_parallel
 
     hop_ns, spacing_ns = 1000, 125
+    workers = 2
     params = {"n_ranks": n_ranks, "hop_ns": hop_ns, "hops": hops,
               "msgs_per_rank": msgs_per_rank, "spacing_ns": spacing_ns}
     horizon_ns = ((msgs_per_rank * n_ranks + 1) * spacing_ns
                   + (hops + 1) * hop_ns)
 
-    def ring(shards: int):
+    def ring(shards: int, nworkers: int = 1):
         return run_parallel(
             "repro.cluster.scenarios:ring_traffic", params, 1,
             n_shards=shards, horizon_ns=horizon_ns, lookahead_ns=hop_ns,
-            meta={"experiment": "bench-ring", "seed": 1},
+            workers=nworkers, meta={"experiment": "bench-ring", "seed": 1},
         )
 
-    def timed(shards: int):
-        res = ring(shards)
+    def timed(shards: int, nworkers: int = 1):
+        res = ring(shards, nworkers)
         eps = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            ring(shards)
+            ring(shards, nworkers)
             eps.append(res.stats.events / (time.perf_counter() - t0))
         return res, eps
 
     res1, eps1 = timed(1)
     res4, eps4 = timed(4)
+    res_procs, eps_procs = timed(4, workers)
     return {
         "ranks": n_ranks,
         "msgs_per_rank": msgs_per_rank,
         "hops": hops,
+        "workers": workers,
         "cpu_count": os.cpu_count() or 1,
         "repeats": repeats,
         "envelopes": res4.stats.exchanged,
@@ -581,9 +556,14 @@ def bench_ring_exchange(n_ranks: int, msgs_per_rank: int, hops: int,
         "eps_1shard_min": round(min(eps1)),
         "eps_4shard": round(statistics.median(eps4)),
         "eps_4shard_min": round(min(eps4)),
-        "byte_identical": float(res1.obs_json == res4.obs_json
-                                and res1.stats.exchanged
-                                == res4.stats.exchanged),
+        "eps_4shard_procs": round(statistics.median(eps_procs)),
+        "eps_4shard_procs_min": round(min(eps_procs)),
+        "speedup_4shard_procs": round(
+            statistics.median(eps_procs) / statistics.median(eps1), 2),
+        "byte_identical": float(
+            res1.obs_json == res4.obs_json == res_procs.obs_json
+            and res1.stats.exchanged == res4.stats.exchanged
+            == res_procs.stats.exchanged),
     }
 
 
@@ -1010,24 +990,17 @@ def check_regression(current: Dict, baseline_path: Path, max_regression: float) 
     guarded = [(f"{section}.{key}", baseline[section][key],
                 current[section][key])
                for section, key in RATIO_COLUMNS if section in baseline]
-    if "parallel_engine" in baseline:
+    if "eps_4shard_procs" in baseline.get("ring_exchange", {}):
         # The multi-process rows measure real core parallelism, so they
         # are only a meaningful regression signal when this host has at
         # least as many cores as the bench spawns workers; on smaller
         # runners the processes time-slice one core and the number is
-        # scheduler noise, not a transport property.
-        pe = current["parallel_engine"]
-        if pe["cpu_count"] >= pe["workers"]:
-            guarded.append(("parallel_engine.speedup_4shard_procs",
-                            baseline["parallel_engine"][
-                                "speedup_4shard_procs"],
-                            pe["speedup_4shard_procs"]))
-            if (pe.get("eps_4shard_procs_shm") is not None
-                    and "eps_4shard_procs" in baseline["parallel_engine"]):
-                guarded.append(("parallel_engine.eps_4shard_procs_shm",
-                                baseline["parallel_engine"][
-                                    "eps_4shard_procs"],
-                                pe["eps_4shard_procs_shm"]))
+        # scheduler noise, not a property of the process backend.
+        re_cur, re_base = current["ring_exchange"], baseline["ring_exchange"]
+        if re_cur["cpu_count"] >= re_cur["workers"]:
+            guarded += [(f"ring_exchange.{key}", re_base[key], re_cur[key])
+                        for key in ("speedup_4shard_procs",
+                                    "eps_4shard_procs")]
     for name, base, cur in guarded:
         ratio = base / max(cur, 1e-9)
         print(f"{name}: baseline {base:.1f}, current {cur:.1f} "

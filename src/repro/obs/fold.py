@@ -35,7 +35,7 @@ its barrier stats instead.
 same code path as an N-way fold, which is precisely what makes
 "1 shard vs N shards" testable as byte equality of the folded JSON.
 
-There is one fold.  The shm transport folds each worker's shards
+There is one fold.  The process backend folds each worker's shards
 worker-side and the parent process then folds the per-worker
 documents.  Because :func:`fold_exports` is a left fold in document
 order, folding any prefix first yields the flat fold's bytes.  Any

@@ -16,7 +16,6 @@ from .parallel import (
     WorkerDiedError,
     run_parallel,
 )
-from .shmtransport import ShmRing
 
 __all__ = [
     "Cell",
@@ -27,7 +26,6 @@ __all__ = [
     "grid_to_json",
     "ParallelResult",
     "ProcessShardGroup",
-    "ShmRing",
     "WorkerDiedError",
     "run_parallel",
 ]

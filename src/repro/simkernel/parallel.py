@@ -50,8 +50,7 @@ over random seeds and topologies.
 
 This module is backend-agnostic: :func:`run_windows` drives any
 :class:`ShardGroup` (the in-process reference group lives here; the
-``ProcessPoolExecutor``-style persistent-worker group lives in
-:mod:`repro.runner.parallel`).
+persistent-worker-process group lives in :mod:`repro.runner.parallel`).
 """
 
 from __future__ import annotations
@@ -181,10 +180,10 @@ _new_envelope = tuple.__new__
 class EnvelopeBatch:
     """Columnar encoding of an envelope list: one struct-framed blob.
 
-    The shared-memory transport ships a whole window's outbox as a
-    single frame -- packed NumPy columns for the fixed-width fields
-    (``deliver_at_ns``/``src_shard``/``dst_shard``, a per-frame kind
-    table with ``uint16`` indices) plus a side arena holding the
+    The process backend ships a whole window's outbox over the worker
+    pipe as a single frame -- packed NumPy columns for the fixed-width
+    fields (``deliver_at_ns``/``src_shard``/``dst_shard``, a per-frame
+    kind table with ``uint16`` indices) plus a side arena holding the
     canonical-JSON payload keys back to back.  Nothing is pickled:
     the payload *is* its canonical JSON (rendered once at send time by
     the :class:`EnvelopeKind` template, for the sort key), so the
@@ -261,7 +260,7 @@ class EnvelopeBatch:
                 self.deliver_at.tolist(), self.kind_id.tolist(),
                 self.src_shard.tolist(), self.dst_shard.tolist(),
                 starts[:-1].tolist(), starts[1:].tolist()):
-            key = bytes(blob[lo:hi]).decode("utf-8")
+            key = blob[lo:hi].decode("utf-8")
             out.append(_new_envelope(Envelope, (
                 at, kinds[kid], key, src, dst,
                 tuple(json.loads(key).values()))))
@@ -274,7 +273,7 @@ class EnvelopeBatch:
         np.cumsum(self.key_len, out=starts[1:])
         blob = self.keys_blob
         picked = np.flatnonzero(mask)
-        keys = b"".join(bytes(blob[starts[i]:starts[i + 1]]) for i in picked)
+        keys = b"".join(blob[starts[i]:starts[i + 1]] for i in picked)
         return EnvelopeBatch(
             deliver_at=self.deliver_at[picked],
             src_shard=self.src_shard[picked],
@@ -303,42 +302,27 @@ class EnvelopeBatch:
             kind_id=np.concatenate(remapped),
             key_len=np.concatenate([b.key_len for b in batches]),
             kinds=kinds,
-            keys_blob=b"".join(bytes(b.keys_blob) for b in batches),
+            keys_blob=b"".join(b.keys_blob for b in batches),
         )
 
     # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        """Serialized frame size."""
+    def to_bytes(self) -> bytes:
+        """Serialize the frame: header, columns, kind table, key arena."""
         kinds_blob = json.dumps(self.kinds).encode("utf-8")
-        return (self._HDR.size + 22 * self.n + len(kinds_blob)
-                + len(self.keys_blob))
-
-    def write_into(self, buf) -> int:
-        """Serialize into a writable buffer; returns bytes written."""
-        kinds_blob = json.dumps(self.kinds).encode("utf-8")
-        n = self.n
-        self._HDR.pack_into(buf, 0, self._MAGIC, n, len(kinds_blob),
-                            len(self.keys_blob))
-        off = self._HDR.size
-        for arr in (self.deliver_at, self.src_shard, self.dst_shard,
-                    self.key_len, self.kind_id):
-            raw = np.ascontiguousarray(arr).tobytes()
-            buf[off:off + len(raw)] = raw
-            off += len(raw)
-        buf[off:off + len(kinds_blob)] = kinds_blob
-        off += len(kinds_blob)
-        buf[off:off + len(self.keys_blob)] = bytes(self.keys_blob)
-        return off + len(self.keys_blob)
+        return b"".join((
+            self._HDR.pack(self._MAGIC, self.n, len(kinds_blob),
+                           len(self.keys_blob)),
+            *(col.tobytes() for col in (self.deliver_at, self.src_shard,
+                                         self.dst_shard, self.key_len,
+                                         self.kind_id)),
+            kinds_blob,
+            self.keys_blob,
+        ))
 
     @classmethod
     def read_from(cls, buf) -> "EnvelopeBatch":
-        """Deserialize a frame.
-
-        The columns are zero-copy views into ``buf`` -- callers that
-        outlive the buffer (ring slots are reused next window) must
-        copy first; the transport passes a one-shot ``bytes`` snapshot.
-        """
+        """Deserialize a frame; the columns are zero-copy views into
+        ``buf``."""
         magic, n, kinds_nbytes, keys_nbytes = cls._HDR.unpack_from(buf, 0)
         if magic != cls._MAGIC:
             raise ParallelError("bad envelope-frame magic")
@@ -487,9 +471,12 @@ class ShardContext:
 # ----------------------------------------------------------------------
 @dataclass
 class WindowReply:
-    """One shard's answer to a window step."""
+    """One shard's answer to a window step.
 
-    outbox: List[Envelope]
+    The shard's outbox stays with its :class:`ShardGroup`, parked for
+    :meth:`ShardGroup.exchange`.
+    """
+
     next_ns: Optional[int]
     processed: int
     stop: bool
@@ -501,9 +488,10 @@ class ShardGroup:
     Implementations hold ``size`` shards and answer three lockstep
     operations.  The in-process reference implementation is
     :class:`LocalShardGroup`; :mod:`repro.runner.parallel` provides the
-    persistent-worker-process one.  Both execute the *same* driver loop
-    (:func:`run_windows`), which is what makes their outputs
-    byte-identical.
+    persistent-worker-process one, which routes the same envelopes as
+    :class:`EnvelopeBatch` frames.  Both execute the *same* driver loop
+    (:func:`run_windows`), and every receiving shard sorts its batch
+    canonically, which is what makes their outputs byte-identical.
     """
 
     size: int
@@ -513,41 +501,18 @@ class ShardGroup:
         raise NotImplementedError
 
     def window_all(self, end_ns: int) -> List[WindowReply]:
-        """Run every shard to ``end_ns``; collect outboxes."""
-        raise NotImplementedError
-
-    def deliver_all(
-        self, inboxes: List[List[Envelope]]
-    ) -> List[Optional[int]]:
-        """Deliver barrier batches; return updated next-event times."""
+        """Run every shard to ``end_ns``; park the outboxes."""
         raise NotImplementedError
 
     def exchange(
-        self, replies: List["WindowReply"]
+        self, replies: List[WindowReply]
     ) -> Tuple[List[Optional[int]], int]:
-        """Route every reply's outbox to its destination and deliver.
+        """Route the parked outboxes to their destinations and deliver.
 
-        Returns ``(next-event times after delivery, envelopes moved)``.
-        The default walks per-envelope outboxes and hands each shard its
-        inbox through :meth:`deliver_all`; the shared-memory backend
-        overrides it to route columnar frames instead.  Either way the
-        receiving shard sorts its batch canonically, so the exchange
-        mechanics cannot perturb the delivery schedule.
+        Returns ``(next-event times after delivery, envelopes moved)``;
+        a shard that received nothing keeps its ``replies`` time.
         """
-        inboxes: List[List[Envelope]] = [[] for _ in range(self.size)]
-        exchanged = 0
-        for reply in replies:
-            for env in reply.outbox:
-                inboxes[env.dst_shard].append(env)
-            exchanged += len(reply.outbox)
-        nexts = [reply.next_ns for reply in replies]
-        if exchanged:
-            updated = self.deliver_all(inboxes)
-            nexts = [
-                updated[i] if inboxes[i] else nexts[i]
-                for i in range(self.size)
-            ]
-        return nexts, exchanged
+        raise NotImplementedError
 
 
 class LocalShardGroup(ShardGroup):
@@ -563,6 +528,7 @@ class LocalShardGroup(ShardGroup):
             raise ParallelError("need at least one shard")
         self._shards = list(shards)
         self.size = len(self._shards)
+        self._outbox: List[Envelope] = []
 
     @property
     def shards(self) -> List[Tuple[ShardContext, Any]]:
@@ -574,22 +540,27 @@ class LocalShardGroup(ShardGroup):
 
     def window_all(self, end_ns: int) -> List[WindowReply]:
         replies = []
+        self._outbox = []
         for ctx, scenario in self._shards:
             outbox, processed = ctx.run_window(end_ns)
+            self._outbox += outbox
             stop = bool(getattr(scenario, "stop", lambda: False)())
-            replies.append(WindowReply(outbox, ctx.next_time_ns(),
-                                       processed, stop))
+            replies.append(WindowReply(ctx.next_time_ns(), processed, stop))
         return replies
 
-    def deliver_all(
-        self, inboxes: List[List[Envelope]]
-    ) -> List[Optional[int]]:
-        nexts: List[Optional[int]] = []
-        for (ctx, _), inbox in zip(self._shards, inboxes):
+    def exchange(
+        self, replies: List[WindowReply]
+    ) -> Tuple[List[Optional[int]], int]:
+        inboxes: List[List[Envelope]] = [[] for _ in range(self.size)]
+        for env in self._outbox:
+            inboxes[env.dst_shard].append(env)
+        nexts = [reply.next_ns for reply in replies]
+        for sid, inbox in enumerate(inboxes):
             if inbox:
+                ctx = self._shards[sid][0]
                 ctx.deliver(inbox)
-            nexts.append(ctx.next_time_ns())
-        return nexts
+                nexts[sid] = ctx.next_time_ns()
+        return nexts, len(self._outbox)
 
 
 @dataclass

@@ -196,7 +196,7 @@ def _export_docs(integer_samples=False, spans=True):
 
 
 class TestFoldAssociativity:
-    """The shm transport folds each worker's shards, then the parent
+    """The process backend folds each worker's shards, then the parent
     process folds the per-worker documents: that must be the flat
     fold."""
 
@@ -218,7 +218,7 @@ class TestFoldAssociativity:
 
     def test_round_robin_worker_grouping_equals_flat_fold(self):
         """Span-free documents with integer samples fold to the same
-        bytes under the shm transport's grouping (document ``i`` on
+        bytes under the process backend's grouping (document ``i`` on
         worker ``i % w``) for every worker count ``w``."""
         from hypothesis import given, settings
 

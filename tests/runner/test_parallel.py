@@ -319,6 +319,13 @@ class TestWindowDriver:
                          n_shards=1, horizon_ns=10**9,
                          lookahead_ns=100, window_ns=200)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_shards_rejected_by_both_backends(self, workers):
+        with pytest.raises(ParallelError, match="need at least one shard"):
+            run_parallel("repro.cluster.scenarios:fleet_storm",
+                         {"n_nodes": 4, "mtbf_s": 100.0}, 1,
+                         n_shards=0, horizon_ns=10**9, workers=workers)
+
     def test_barrier_metrics_reported(self):
         shards = pingpong_factory(rounds=3, hop_ns=1000)
         reg = MetricsRegistry()

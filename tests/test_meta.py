@@ -37,7 +37,7 @@ _DOCUMENTED_IN_BASE = {
     # contract; backends implement it).
     "status_all",
     "window_all",
-    "deliver_all",
+    "exchange",
 }
 
 
